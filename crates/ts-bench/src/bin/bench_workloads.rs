@@ -287,8 +287,9 @@ fn thread_ladder(max: usize) -> Vec<usize> {
 }
 
 /// Builds every target for a given thread count. Objects generic over
-/// the register backend appear twice; `bounded_oneshot` and `growable`
-/// store unbounded sequences and exist only on the epoch backend.
+/// the register backend appear twice; `bounded_oneshot` exists only on
+/// packed registers (one-word handles to call records) and `growable`
+/// only on the epoch backend (unbounded sequences).
 fn targets(threads: usize, pool_size: usize) -> Vec<Box<dyn WorkloadTarget>> {
     vec![
         Box::new(
@@ -317,7 +318,7 @@ fn targets(threads: usize, pool_size: usize) -> Vec<Box<dyn WorkloadTarget>> {
         ),
         Box::new(OneShotPool::new(
             "bounded_oneshot",
-            "epoch",
+            "packed",
             threads,
             pool_size,
             Box::new(move || BoundedTimestamp::one_shot(threads)),

@@ -16,16 +16,40 @@
 //! discovers every register invalid, scans, opens phase `k` by writing
 //! `R[k]` and returns `(k, 0)`.
 //!
+//! # Registers as handles to call records
+//!
+//! Every pair a call writes is determined by the call alone: an
+//! invalidation write (lines 8 and 11) stores `⟨[id], myrnd⟩` and a
+//! phase-opening write (line 15) stores `⟨seq, myrnd + 1⟩` for the one
+//! `seq` that call builds. So [`BoundedTimestamp`] keeps each admitted
+//! call's `{id, myrnd, seq}` in a write-once *call record*, indexed by
+//! the call's admission number `a`, and its registers are
+//! word-inlined [`PackedRegister`](ts_register::PackedRegister)s holding
+//! only a handle:
+//!
+//! - `0` is `⊥`;
+//! - `(a + 1) << 1 | opens` names record `a`, with `opens` set for the
+//!   phase-opening write. The named pair is `⟨[id], myrnd⟩` when
+//!   `opens` is clear and `⟨seq, myrnd + 1⟩` when it is set.
+//!
+//! A record is filled in before its owner's first (`Release`) register
+//! write and read only after an `Acquire` load of a word naming it —
+//! the publication edge of the register ordering contract
+//! (`ts_register::backend`). Nothing is allocated per write except an
+//! opener's `seq`, and nothing is ever retired: the records live as
+//! long as the object. Since records are told apart by getTS-id at
+//! line 7, ids must be unique per call, as the paper requires.
+//!
 //! This module also carries the paper's accounting instrumentation
 //! (Section 6.3): phases, invalidation writes, and register usage are
 //! counted so the bounds `Φ < 2√M` (Lemma 6.5) and `≤ 2M` invalidation
 //! writes (Claim 6.13) can be checked against real executions.
 
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 
-use ts_register::{RegisterArray, SpaceMeter};
+use ts_register::{PackedRegisterArray, RegisterArray, SpaceMeter};
 use ts_snapshot::double_collect_scan;
 
 use crate::error::GetTsError;
@@ -33,7 +57,13 @@ use crate::ids::GetTsId;
 use crate::timestamp::Timestamp;
 use crate::traits::OneShotTimestamp;
 
-/// Register contents: `⊥` or `⟨seq, rnd⟩`.
+/// Register contents `⊥` or `⟨seq, rnd⟩`, as values.
+///
+/// [`BoundedTimestamp`] does not store these: its registers hold
+/// handles to write-once call records (see the module docs). The value
+/// form is what the model twin (`model::BoundedModel`) and
+/// [`GrowableTimestamp`](crate::GrowableTimestamp) keep in their
+/// registers. In either form, the ids in `seq` must be unique per call.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Slot {
     /// The initial value `⊥`.
@@ -108,14 +138,67 @@ pub enum OverwritePolicy {
     Never,
 }
 
+/// The register word `⊥`.
+const BOT: u32 = 0;
+
+/// Budgets from this value up do not fit a handle's 31-bit call index.
+const BUDGET_LIMIT: usize = (1 << 31) - 1;
+
+/// The register word naming call record `call`'s invalidation pair
+/// (`opens` clear) or phase-opening pair (`opens` set).
+fn handle(call: usize, opens: bool) -> u32 {
+    ((call as u32 + 1) << 1) | u32::from(opens)
+}
+
+/// How a call returned, kept in its record's tally.
+#[derive(Clone, Copy)]
+enum Outcome {
+    /// Line 12: saw the next phase open early.
+    Early = 1,
+    /// Line 9: took a turn.
+    Turn = 2,
+    /// Line 16: returned after the line-13 scan.
+    Scanned = 3,
+}
+
+/// The write-once record of one admitted call.
+///
+/// `id` and `myrnd` are set before the call's first register write,
+/// `seq` only by a phase-opening call just before its line-15 write;
+/// readers reach a record only through a register word naming it. So
+/// the fields can be `Relaxed`: the owner's `Release` store of a word
+/// naming the record, paired with the reader's `Acquire` load of that
+/// word, orders them. `tally` is the call's own accounting, stored
+/// once as it returns and summed by [`BoundedTimestamp::phase_stats`].
+#[derive(Debug, Default)]
+struct CallRecord {
+    /// The getTS-id, packed `pid << 32 | seq`.
+    id: AtomicU64,
+    /// The round measured at line 4.
+    myrnd: AtomicU32,
+    /// `writes << 2 | outcome`; 0 while the call runs.
+    tally: AtomicU32,
+    /// The phase-opening sequence (line 15), if the call opened a phase.
+    seq: OnceLock<Box<[GetTsId]>>,
+}
+
+impl CallRecord {
+    fn id(&self) -> GetTsId {
+        let id = self.id.load(Ordering::Relaxed);
+        GetTsId::new((id >> 32) as u32, id as u32)
+    }
+
+    fn settle(&self, writes: u32, outcome: Outcome) {
+        self.tally
+            .store(writes << 2 | outcome as u32, Ordering::Relaxed);
+    }
+}
+
+/// Phase counters that must stay exact across racing writers; the
+/// per-call counters live in the call records.
 #[derive(Debug)]
 struct Accounting {
-    total_writes: AtomicU64,
     invalidation_writes: AtomicU64,
-    line15_writes: AtomicU64,
-    early_returns: AtomicU64,
-    turn_returns: AtomicU64,
-    scans: AtomicU64,
     /// Visible-phase epoch: incremented at each phase-opening write.
     epoch: AtomicU64,
     /// Epoch of the last write per register (u64::MAX = never written).
@@ -125,21 +208,14 @@ struct Accounting {
 impl Accounting {
     fn new(m: usize) -> Self {
         Self {
-            total_writes: AtomicU64::new(0),
             invalidation_writes: AtomicU64::new(0),
-            line15_writes: AtomicU64::new(0),
-            early_returns: AtomicU64::new(0),
-            turn_returns: AtomicU64::new(0),
-            scans: AtomicU64::new(0),
             epoch: AtomicU64::new(0),
             last_write_epoch: (0..m).map(|_| AtomicU64::new(u64::MAX)).collect(),
         }
     }
 
     fn record_write(&self, paper_index: usize, opens_phase: bool) {
-        self.total_writes.fetch_add(1, Ordering::Relaxed);
         let epoch = if opens_phase {
-            self.line15_writes.fetch_add(1, Ordering::Relaxed);
             // Racing scanners may both open the same phase k by writing
             // R[k]; the phase number is the highest register opened, not
             // the number of opening writes.
@@ -162,7 +238,9 @@ impl Accounting {
 /// Phases are counted at *visible* granularity (a phase is counted when
 /// its opening register write lands, not at the opening scan), which
 /// can only under-count invalidation writes relative to the paper's
-/// definition; the paper's upper bounds still apply.
+/// definition; the paper's upper bounds still apply. The per-call
+/// counters (`total_writes`, `scans`, `early_returns`, `turn_returns`)
+/// cover calls that have returned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PhaseStats {
@@ -208,7 +286,9 @@ impl PhaseStats {
 /// The bounded-concurrency timestamp object of Algorithm 4.
 ///
 /// Wait-free for up to `M` `getTS()` invocations using `⌈2√M⌉`
-/// registers; `compare` is Algorithm 3 ([`Timestamp::compare`]).
+/// registers; `compare` is Algorithm 3 ([`Timestamp::compare`]). Each
+/// register holds a one-word handle to a call record (see the module
+/// docs), so besides the registers the object keeps `M` records.
 ///
 /// # Example
 ///
@@ -223,12 +303,14 @@ impl PhaseStats {
 /// assert!(Timestamp::compare(&a, &b));
 /// ```
 pub struct BoundedTimestamp {
-    regs: RegisterArray<Slot>,
+    regs: PackedRegisterArray<u32>,
     meter: SpaceMeter,
     m: usize,
     budget: usize,
     policy: OverwritePolicy,
     invocations: AtomicU64,
+    /// One record per admissible call, indexed by admission number.
+    calls: Box<[CallRecord]>,
     /// One-shot guard, present when built with [`BoundedTimestamp::one_shot`].
     used: Option<Vec<AtomicBool>>,
     accounting: Accounting,
@@ -250,10 +332,12 @@ pub(crate) fn registers_for_budget(budget: usize) -> usize {
 impl BoundedTimestamp {
     /// Creates an object accepting at most `budget` `getTS()` calls,
     /// from any processes, identified by caller-supplied [`GetTsId`]s.
+    /// Ids must be unique per call.
     ///
     /// # Panics
     ///
-    /// Panics if `budget == 0`.
+    /// Panics if `budget == 0` or `budget ≥ 2³¹ − 1` (a register handle
+    /// holds a 31-bit call index).
     pub fn with_budget(budget: usize) -> Self {
         Self::with_budget_and_policy(budget, OverwritePolicy::Paper)
     }
@@ -263,21 +347,27 @@ impl BoundedTimestamp {
     ///
     /// # Panics
     ///
-    /// Panics if `budget == 0`.
+    /// Panics if `budget == 0` or `budget ≥ 2³¹ − 1` (a register handle
+    /// holds a 31-bit call index).
     pub fn with_budget_and_policy(budget: usize, policy: OverwritePolicy) -> Self {
         assert!(budget > 0, "budget must be positive");
+        assert!(
+            budget < BUDGET_LIMIT,
+            "budget {budget} is too large: a register handle names at most 2^31 - 2 calls"
+        );
         // One extra sentinel beyond the writable range is already part of
         // ⌈2√M⌉ (Φ < 2√M), but guard the degenerate tiny budgets where
         // the ceiling equals the phase count.
         let m = registers_for_budget(budget).max(2);
         let meter = SpaceMeter::new(m);
         Self {
-            regs: RegisterArray::with_meter(m, Slot::Bot, meter.clone()),
+            regs: RegisterArray::with_backend_and_meter(m, BOT, meter.clone()),
             meter,
             m,
             budget,
             policy,
             invocations: AtomicU64::new(0),
+            calls: (0..budget).map(|_| CallRecord::default()).collect(),
             used: None,
             accounting: Accounting::new(m),
         }
@@ -288,7 +378,8 @@ impl BoundedTimestamp {
     ///
     /// # Panics
     ///
-    /// Panics if `processes == 0`.
+    /// Panics if `processes == 0` or `processes ≥ 2³¹ − 1` (a register
+    /// handle holds a 31-bit call index).
     pub fn one_shot(processes: usize) -> Self {
         Self::one_shot_with_policy(processes, OverwritePolicy::Paper)
     }
@@ -297,7 +388,8 @@ impl BoundedTimestamp {
     ///
     /// # Panics
     ///
-    /// Panics if `processes == 0`.
+    /// Panics if `processes == 0` or `processes ≥ 2³¹ − 1` (a register
+    /// handle holds a 31-bit call index).
     pub fn one_shot_with_policy(processes: usize, policy: OverwritePolicy) -> Self {
         let mut obj = Self::with_budget_and_policy(processes, policy);
         obj.used = Some((0..processes).map(|_| AtomicBool::new(false)).collect());
@@ -321,39 +413,83 @@ impl BoundedTimestamp {
 
     /// A snapshot of the phase accounting (Section 6.3 quantities).
     pub fn phase_stats(&self) -> PhaseStats {
-        PhaseStats {
+        let calls = self
+            .invocations
+            .load(Ordering::Relaxed)
+            .min(self.budget as u64);
+        let mut stats = PhaseStats {
             m: self.m,
             budget: self.budget,
-            calls: self
-                .invocations
-                .load(Ordering::Relaxed)
-                .min(self.budget as u64),
+            calls,
             phases: self.accounting.epoch.load(Ordering::Relaxed),
             invalidation_writes: self.accounting.invalidation_writes.load(Ordering::Relaxed),
-            total_writes: self.accounting.total_writes.load(Ordering::Relaxed),
-            scans: self.accounting.scans.load(Ordering::Relaxed),
-            early_returns: self.accounting.early_returns.load(Ordering::Relaxed),
-            turn_returns: self.accounting.turn_returns.load(Ordering::Relaxed),
+            total_writes: 0,
+            scans: 0,
+            early_returns: 0,
+            turn_returns: 0,
             registers_written: self.meter.snapshot().registers_written(),
+        };
+        for call in &self.calls[..calls as usize] {
+            let tally = call.tally.load(Ordering::Relaxed);
+            let outcome = tally & 3;
+            stats.total_writes += u64::from(tally >> 2);
+            stats.early_returns += u64::from(outcome == Outcome::Early as u32);
+            stats.turn_returns += u64::from(outcome == Outcome::Turn as u32);
+            stats.scans += u64::from(outcome == Outcome::Scanned as u32);
         }
+        stats
     }
 
     /// Reads register `R[j]` (paper's 1-based indexing).
-    fn read(&self, j: usize) -> Slot {
+    fn read(&self, j: usize) -> u32 {
         self.regs
             .read(j - 1)
             .expect("paper register index within the array")
     }
 
     /// Writes register `R[j]` (paper's 1-based indexing).
-    fn write(&self, j: usize, value: Slot, opens_phase: bool) {
+    fn write(&self, j: usize, word: u32, opens_phase: bool) {
         self.accounting.record_write(j, opens_phase);
         self.regs
-            .write(j - 1, value)
+            .write(j - 1, word)
             .expect("paper register index within the array");
     }
 
-    /// Algorithm 4 `getTS(ID)` for an explicit getTS-id.
+    /// The record a non-`⊥` register word names.
+    fn record(&self, word: u32) -> &CallRecord {
+        &self.calls[(word >> 1) as usize - 1]
+    }
+
+    /// `last(R.seq)` of a register word: its writer's id.
+    fn last(&self, word: u32) -> Option<GetTsId> {
+        (word != BOT).then(|| self.record(word).id())
+    }
+
+    /// `R.rnd` of a register word.
+    fn rnd(&self, word: u32) -> Option<u64> {
+        (word != BOT)
+            .then(|| u64::from(self.record(word).myrnd.load(Ordering::Relaxed) + (word & 1)))
+    }
+
+    /// `R.seq[j]` of a register word, 1-based: `[id]` for an
+    /// invalidation word, the opener's `seq` for a phase-opening word.
+    fn seq_get(&self, word: u32, j: usize) -> Option<GetTsId> {
+        if word == BOT {
+            return None;
+        }
+        let record = self.record(word);
+        if word & 1 == 0 {
+            return (j == 1).then(|| record.id());
+        }
+        let seq = record
+            .seq
+            .get()
+            .expect("an opener's seq is set before its write");
+        seq.get(j.checked_sub(1)?).copied()
+    }
+
+    /// Algorithm 4 `getTS(ID)` for an explicit getTS-id, which must be
+    /// unique per call.
     ///
     /// # Errors
     ///
@@ -372,21 +508,22 @@ impl BoundedTimestamp {
                 budget: self.budget,
             });
         }
-        Ok(self.get_ts_inner(id))
+        Ok(self.get_ts_inner(admitted as usize, id))
     }
 
-    fn get_ts_inner(&self, id: GetTsId) -> Timestamp {
+    fn get_ts_inner(&self, call: usize, id: GetTsId) -> Timestamp {
         let m = self.m;
 
-        // Lines 1–4: find the non-⊥ prefix, recording it in r[1..myrnd].
-        let mut r: Vec<Slot> = vec![Slot::Bot; m + 1]; // r[1..=m]
+        // Lines 1–4: find the non-⊥ prefix. Of r[1..myrnd] only
+        // r[myrnd] is consulted again (line 7), so only it is kept.
+        let mut r_last = BOT;
         let mut j = 1usize;
         loop {
-            let v = self.read(j);
-            if v.is_bot() {
+            let word = self.read(j);
+            if word == BOT {
                 break;
             }
-            r[j] = v;
+            r_last = word;
             j += 1;
             assert!(
                 j <= m,
@@ -395,64 +532,74 @@ impl BoundedTimestamp {
         }
         let myrnd = j - 1;
 
+        // Fill in this call's record before any write can name it.
+        let me = &self.calls[call];
+        me.id.store(
+            u64::from(id.pid) << 32 | u64::from(id.seq),
+            Ordering::Relaxed,
+        );
+        me.myrnd.store(myrnd as u32, Ordering::Relaxed);
+        let invalidation = handle(call, false);
+        let mut writes = 0;
+
         // Lines 5–12: look for the first valid register among R[1..myrnd-1].
         for j in 1..myrnd {
             // Line 6: has the next phase opened?
-            if !self.read(myrnd + 1).is_bot() {
+            if self.read(myrnd + 1) != BOT {
                 // Line 12.
-                self.accounting
-                    .early_returns
-                    .fetch_add(1, Ordering::Relaxed);
+                me.settle(writes, Outcome::Early);
                 return Timestamp::new((myrnd + 1) as u64, 0);
             }
             // Lines 7–11: one read of R[j] serves both the validity test
             // and the staleness test.
             let cur = self.read(j);
-            let expected = r[myrnd].seq_get(j);
-            if expected.is_some() && cur.last() == expected {
+            let expected = self.seq_get(r_last, j);
+            if expected.is_some() && self.last(cur) == expected {
                 // Lines 8–9: R[j] is valid — invalidate it, take turn j.
-                self.write(j, Slot::val(vec![id], myrnd as u64), false);
-                self.accounting.turn_returns.fetch_add(1, Ordering::Relaxed);
+                self.write(j, invalidation, false);
+                me.settle(writes + 1, Outcome::Turn);
                 return Timestamp::new(myrnd as u64, j as u64);
             }
             let overwrite = match self.policy {
                 OverwritePolicy::Paper => {
                     // Line 10: only a write from an *older* phase can
                     // spuriously re-validate later; pin it down.
-                    cur.rnd().is_some_and(|rnd| rnd < myrnd as u64)
+                    self.rnd(cur).is_some_and(|rnd| rnd < myrnd as u64)
                 }
                 OverwritePolicy::Always => true,
                 OverwritePolicy::Never => false,
             };
             if overwrite {
                 // Line 11.
-                self.write(j, Slot::val(vec![id], myrnd as u64), false);
+                self.write(j, invalidation, false);
+                writes += 1;
             }
         }
 
         // Line 13: linearizable view via double-collect scan.
-        self.accounting.scans.fetch_add(1, Ordering::Relaxed);
         let view = double_collect_scan(&self.regs);
 
         // Line 14: r[myrnd + 1] == ⊥ ? (1-based paper index → 0-based array)
-        if view[myrnd].value.is_bot() {
+        if view[myrnd].value == BOT {
             // Line 15: open phase myrnd + 1.
             assert!(
                 myrnd + 1 < m,
                 "space bound violated: writing sentinel register R[{m}]"
             );
-            let mut seq = Vec::with_capacity(myrnd + 1);
-            for jj in 1..=myrnd {
-                let last = view[jj - 1]
-                    .value
-                    .last()
-                    .expect("scanned prefix registers are non-⊥ (Claim 6.1)");
-                seq.push(last);
-            }
-            seq.push(id);
-            self.write(myrnd + 1, Slot::val(seq, (myrnd + 1) as u64), true);
+            let seq: Box<[GetTsId]> = view.entries()[..myrnd]
+                .iter()
+                .map(|r| {
+                    self.last(r.value)
+                        .expect("scanned prefix registers are non-⊥ (Claim 6.1)")
+                })
+                .chain([id])
+                .collect();
+            me.seq.set(seq).expect("a call opens at most one phase");
+            self.write(myrnd + 1, handle(call, true), true);
+            writes += 1;
         }
         // Line 16.
+        me.settle(writes, Outcome::Scanned);
         Timestamp::new((myrnd + 1) as u64, 0)
     }
 }
@@ -645,6 +792,40 @@ mod tests {
         assert_eq!(v.seq_get(3), None);
         assert_eq!(v.seq_get(0), None);
         assert_eq!(v.rnd(), Some(3));
+    }
+
+    #[test]
+    #[should_panic(expected = "2^31 - 2 calls")]
+    fn budget_beyond_the_handle_range_is_rejected() {
+        BoundedTimestamp::with_budget(1 << 31);
+    }
+
+    #[test]
+    fn handles_name_records_and_phase_openings() {
+        assert_eq!(handle(0, false), 2);
+        assert_eq!(handle(0, true), 3);
+        let top = BUDGET_LIMIT - 2;
+        assert_eq!(handle(top, true), u32::MAX - 2);
+        let ts = BoundedTimestamp::with_budget(4);
+        // Call 0 opens phase 1, call 1 opens phase 2 with seq [p0, p1],
+        // call 2 invalidates R[1].
+        for k in 0..3u32 {
+            ts.get_ts_with_id(GetTsId::new(k, 0)).unwrap();
+        }
+        let (r1, r2) = (ts.read(1), ts.read(2));
+        assert_eq!(r1, handle(2, false));
+        assert_eq!(r2, handle(1, true));
+        assert_eq!(ts.last(r1), Some(GetTsId::new(2, 0)));
+        assert_eq!(ts.rnd(r1), Some(2));
+        assert_eq!(ts.seq_get(r1, 1), Some(GetTsId::new(2, 0)));
+        assert_eq!(ts.seq_get(r1, 2), None);
+        assert_eq!(ts.last(r2), Some(GetTsId::new(1, 0)));
+        assert_eq!(ts.rnd(r2), Some(2));
+        assert_eq!(ts.seq_get(r2, 1), Some(GetTsId::new(0, 0)));
+        assert_eq!(ts.seq_get(r2, 2), Some(GetTsId::new(1, 0)));
+        assert_eq!(ts.seq_get(r2, 3), None);
+        assert_eq!(ts.last(BOT), None);
+        assert_eq!(ts.rnd(BOT), None);
     }
 
     #[test]

@@ -51,8 +51,17 @@ impl Timestamp {
     ///
     /// Returns `(rnd1 < rnd2) ∨ ((rnd1 = rnd2) ∧ (turn1 < turn2))`.
     /// No shared memory is accessed.
+    ///
+    /// Computed as one comparison of the `rnd << 64 | turn` words, which
+    /// order exactly like the formula and compile without a
+    /// data-dependent branch.
     pub fn compare(t1: &Timestamp, t2: &Timestamp) -> bool {
-        (t1.rnd < t2.rnd) || (t1.rnd == t2.rnd && t1.turn < t2.turn)
+        t1.word() < t2.word()
+    }
+
+    /// The `rnd << 64 | turn` word whose order is Algorithm 3's.
+    fn word(&self) -> u128 {
+        u128::from(self.rnd) << 64 | u128::from(self.turn)
     }
 }
 
@@ -202,6 +211,33 @@ mod tests {
         ] {
             assert_eq!(Timestamp::compare(&a, &b), a < b);
         }
+    }
+
+    #[test]
+    fn compare_agrees_with_the_paper_formula() {
+        let paper =
+            |a: &Timestamp, b: &Timestamp| (a.rnd < b.rnd) || (a.rnd == b.rnd && a.turn < b.turn);
+        let values = [0, 1, 2, u64::MAX - 1, u64::MAX];
+        let stamps: Vec<Timestamp> = values
+            .iter()
+            .flat_map(|&rnd| values.iter().map(move |&turn| Timestamp::new(rnd, turn)))
+            .collect();
+        for a in &stamps {
+            // Equal pairs: irreflexive.
+            assert!(!Timestamp::compare(a, a), "{a} < {a}");
+            for b in &stamps {
+                assert_eq!(Timestamp::compare(a, b), paper(a, b), "{a} vs {b}");
+            }
+        }
+        // Equal rnd: the turn decides, also at the top of its range.
+        let (lo, hi) = (Timestamp::new(5, u64::MAX - 1), Timestamp::new(5, u64::MAX));
+        assert!(Timestamp::compare(&lo, &hi) && !Timestamp::compare(&hi, &lo));
+        // rnd dominates a maximal turn.
+        let (a, b) = (
+            Timestamp::new(u64::MAX - 1, u64::MAX),
+            Timestamp::new(u64::MAX, 0),
+        );
+        assert!(Timestamp::compare(&a, &b) && !Timestamp::compare(&b, &a));
     }
 
     #[test]

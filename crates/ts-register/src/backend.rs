@@ -6,9 +6,9 @@
 //!
 //! - [`EpochBackend`] — an atomic pointer to an immutable heap cell with
 //!   epoch-based reclamation ([`StampedRegister`]). Supports values of
-//!   **any size** (Algorithm 4's registers hold growing sequences of
-//!   getTS-ids), at the cost of an allocation per write and an epoch pin
-//!   per operation.
+//!   **any size** (e.g. the growing getTS-id sequences of `ts-core`'s
+//!   `GrowableTimestamp`), at the cost of an allocation per write and an
+//!   epoch pin per operation.
 //! - [`PackedBackend`] — the value bit-packed into a single `AtomicU64`
 //!   next to its write stamp ([`PackedRegister`]). Reads and writes are
 //!   single hardware atomics — no allocation, no pinning, no
@@ -24,10 +24,17 @@
 //!
 //! Use `PackedBackend` when every value the register will ever hold fits
 //! [`Packable`]'s 32-bit budget — e.g. the `{0, 1, 2}` slots of the
-//! simple one-shot algorithm or collect-max counters. Use `EpochBackend`
-//! when values are unbounded or non-`Copy` — e.g. Algorithm 4's
-//! `⟨seq, rnd⟩` pairs. The contention benchmark (`bench_contention` in
-//! `ts-bench`) quantifies the gap.
+//! simple one-shot algorithm or collect-max counters. Large values that
+//! are written once and never change can often still go packed: store
+//! them in a write-once record, publish it before the `Release` write of
+//! a word naming it, and read it only after an `Acquire` load of such a
+//! word (the contract below). `ts-core`'s Algorithm 4 does this: its
+//! registers hold handles to per-call `{id, myrnd, seq}` records rather
+//! than `⟨seq, rnd⟩` values. Use `EpochBackend` when values are
+//! unbounded and have no such write-once owner — e.g. the growable
+//! variant's registers, whose number of writers is not fixed up front.
+//! The contention benchmark (`bench_contention` in `ts-bench`)
+//! quantifies the gap.
 //!
 //! # Ordering contract (all backends, one place)
 //!

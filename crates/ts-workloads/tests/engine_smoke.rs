@@ -150,7 +150,7 @@ fn every_catalog_scenario_runs_on_every_target_kind() {
 
         let bounded = OneShotPool::new(
             "bounded_oneshot",
-            "epoch",
+            "packed",
             2,
             64,
             Box::new(|| BoundedTimestamp::one_shot(2)),
