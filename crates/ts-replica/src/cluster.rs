@@ -1,5 +1,6 @@
-//! The replica cluster: `2f + 1` replicas, one router, and the ABD
-//! client operations that read and write registers through them.
+//! The replica cluster: `2f + 1` replicas, one router with a network
+//! lane per client, and the ABD client operations that read and write
+//! registers through them.
 //!
 //! # Client operations
 //!
@@ -25,10 +26,16 @@
 //! # Determinism
 //!
 //! All nondeterminism lives in the router's seeded
-//! [`FaultPlan`] plus the thread schedule.
-//! Single-threaded clients over a seeded plan replay **bit-identically**
-//! (see `delivery_log`); multi-threaded runs stay linearizable but not
-//! schedule-stable, exactly like the shared-memory objects upstream.
+//! [`FaultPlan`] plus the thread schedule. Each client sends into and
+//! pumps only its own network lane, whose fault stream is seeded from
+//! `(plan seed, client vpid)`, and mints its own operation ids — so a
+//! lane's schedule is a function of the seed, the vpid and that
+//! client's own sends; other clients' traffic never perturbs it.
+//! Single-client runs over a seeded plan therefore replay
+//! **bit-identically** (see `delivery_log`). Multi-threaded runs stay
+//! linearizable; what they share — replica state, crashes, partitions
+//! and wipes — follows the thread schedule, exactly like the
+//! shared-memory objects upstream.
 //!
 //! # Ambient wiring
 //!
@@ -41,15 +48,15 @@
 //! fault-free `f = 1` cluster, which keeps doc-tests and quick probes
 //! zero-ceremony.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use ts_core::workload::VpidAllocator;
 use ts_core::{ServiceStats, Timestamp};
 
-use crate::net::{FaultPlan, NetStats, Pumped, Router};
+use crate::net::{FaultPlan, Lane, NetStats, Pumped, Router, MAX_REPLICAS};
 use crate::proto::{Message, MsgKind, WriteStamp};
 use crate::replica::Replica;
 
@@ -81,7 +88,13 @@ pub struct ClusterConfig {
 
 impl ClusterConfig {
     /// Fault-free config tolerating `f` failures.
+    ///
+    /// # Panics
+    ///
+    /// If `2f + 1` exceeds [`MAX_REPLICAS`],
+    /// the replica count the crash/partition bitmasks address.
     pub fn new(f: usize) -> Self {
+        assert_replica_count(f);
         Self {
             f,
             plan: FaultPlan::default(),
@@ -106,6 +119,13 @@ impl ClusterConfig {
     pub fn replicas(&self) -> usize {
         2 * self.f + 1
     }
+}
+
+fn assert_replica_count(f: usize) {
+    assert!(
+        f <= (MAX_REPLICAS - 1) / 2,
+        "f = {f} needs 2f + 1 replicas; at most {MAX_REPLICAS} are supported"
+    );
 }
 
 /// How a crashed replica comes back in [`Cluster::restart`].
@@ -174,11 +194,21 @@ fn mix(seed: u64, a: u64, b: u64, c: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// This thread's identity as a client of one cluster.
+struct ClientSlot {
+    id: u32,
+    /// The next operation id this client mints. Replies are matched
+    /// within the client's own lane, so ids are unique per client only.
+    next_op: Cell<u64>,
+    /// The client's network lane, co-owned by the cluster's router.
+    lane: Arc<Lane>,
+}
+
 thread_local! {
     /// Stack of ambient clusters (innermost last); see [`with_cluster`].
     static AMBIENT: RefCell<Vec<Arc<Cluster>>> = const { RefCell::new(Vec::new()) };
-    /// This thread's client id per cluster uid.
-    static CLIENT_IDS: RefCell<HashMap<u64, u32>> = RefCell::new(HashMap::new());
+    /// This thread's client slot per cluster uid.
+    static CLIENT_IDS: RefCell<HashMap<u64, ClientSlot>> = RefCell::new(HashMap::new());
 }
 
 static NEXT_CLUSTER_UID: AtomicU64 = AtomicU64::new(0);
@@ -209,18 +239,15 @@ pub(crate) fn ambient_cluster() -> Option<Arc<Cluster>> {
 }
 
 /// `2f + 1` [`Replica`]s behind one fault-injecting
-/// [`Router`]. See the module docs for the protocol and wiring.
+/// [`Router`], reached by each client over its own lane. See the
+/// module docs for the protocol and wiring.
 pub struct Cluster {
     uid: u64,
     config: ClusterConfig,
     replicas: Vec<Replica>,
     router: Router,
     next_reg: AtomicU32,
-    next_op: AtomicU64,
     client_vpids: VpidAllocator,
-    /// Reply mailboxes keyed by client id, filled by whichever thread
-    /// pumps a client-bound delivery.
-    mailboxes: Mutex<HashMap<u32, Vec<Message>>>,
     rounds: AtomicU64,
     repairs: AtomicU64,
     retries: AtomicU64,
@@ -254,16 +281,19 @@ impl std::fmt::Debug for Cluster {
 
 impl Cluster {
     /// Builds a cluster of `2f + 1` replicas running `config.plan`.
+    ///
+    /// # Panics
+    ///
+    /// If `2f + 1` exceeds [`MAX_REPLICAS`].
     pub fn new(config: ClusterConfig) -> Arc<Self> {
+        assert_replica_count(config.f);
         Arc::new(Self {
             uid: NEXT_CLUSTER_UID.fetch_add(1, Ordering::Relaxed),
             config,
             replicas: (0..config.replicas() as u32).map(Replica::new).collect(),
             router: Router::new(config.plan),
             next_reg: AtomicU32::new(0),
-            next_op: AtomicU64::new(0),
             client_vpids: VpidAllocator::new(),
-            mailboxes: Mutex::new(HashMap::new()),
             rounds: AtomicU64::new(0),
             repairs: AtomicU64::new(0),
             retries: AtomicU64::new(0),
@@ -304,7 +334,7 @@ impl Cluster {
     }
 
     /// The fault-injecting router (partition/heal knobs, step hook,
-    /// delivery log).
+    /// delivery log, counters summed over the client lanes).
     pub fn router(&self) -> &Router {
         &self.router
     }
@@ -486,10 +516,11 @@ impl Cluster {
                 .expect("live set is non-empty");
             let (mine, _) = healing.stored(reg);
             if stamp > mine {
+                let (from, op) = self.next_op();
                 healing.handle(&Message {
                     kind: MsgKind::Write,
-                    op: self.next_op.fetch_add(1, Ordering::Relaxed),
-                    from: self.client_id(),
+                    op,
+                    from,
                     to: id,
                     reg,
                     seq: stamp.seq,
@@ -524,10 +555,39 @@ impl Cluster {
 
     /// This thread's client id on this cluster (minted on first use).
     pub fn client_id(&self) -> u32 {
-        CLIENT_IDS.with(|m| {
-            *m.borrow_mut()
-                .entry(self.uid)
-                .or_insert_with(|| Message::CLIENT_BASE + self.client_vpids.next())
+        self.with_client(|c| c.id)
+    }
+
+    /// Mints this thread's next operation id as a client of this
+    /// cluster: `(client id, op id)`.
+    fn next_op(&self) -> (u32, u64) {
+        self.with_client(|c| {
+            let op = c.next_op.get();
+            c.next_op.set(op + 1);
+            (c.id, op)
+        })
+    }
+
+    /// Runs `f` on this thread's client slot for this cluster. The slot
+    /// (client id, op counter and network lane) is minted on first use
+    /// and cached thread-locally, so the hot path does no shared
+    /// lookup.
+    fn with_client<R>(&self, f: impl FnOnce(&ClientSlot) -> R) -> R {
+        CLIENT_IDS.with(|slots| {
+            if let Some(slot) = slots.borrow().get(&self.uid) {
+                return f(slot);
+            }
+            let mut slots = slots.borrow_mut();
+            // Forget the slots of dropped clusters: their routers held
+            // the only other reference to the lane.
+            slots.retain(|_, slot| Arc::strong_count(&slot.lane) > 1);
+            let vpid = self.client_vpids.next();
+            let slot = slots.entry(self.uid).or_insert(ClientSlot {
+                id: Message::CLIENT_BASE + vpid,
+                next_op: Cell::new(0),
+                lane: self.router.lane(vpid),
+            });
+            f(slot)
         })
     }
 
@@ -637,8 +697,9 @@ impl Cluster {
     /// client waits out a seeded exponential backoff
     /// (`2^min(attempt, CAP)` steps plus deterministic jitter hashed
     /// from `(plan seed, client, op, attempt)`) — the waiting ticks
-    /// keep pumping the router, so a backed-off client still moves
-    /// other clients' traffic instead of stalling the network.
+    /// keep pumping the client's own lane, so late copies of the
+    /// abandoned attempt's traffic still reach the replicas (and its
+    /// stale replies drain) while it waits.
     fn quorum_rpc(
         &self,
         need: usize,
@@ -646,14 +707,16 @@ impl Cluster {
         reg: u32,
         build: impl Fn(u64, u32, u32) -> Message,
     ) -> Result<Vec<Message>, Unavailable> {
-        let client = self.client_id();
         let n = self.replicas.len();
         debug_assert!(need <= n);
         let deadline = self.config.deadline;
+        // Only the queued path touches the network lane.
+        let lane =
+            (!self.config.plan.is_fault_free()).then(|| self.with_client(|c| Arc::clone(&c.lane)));
         let mut attempt = 0u64;
         let mut steps = 0u64;
         loop {
-            let op = self.next_op.fetch_add(1, Ordering::Relaxed);
+            let (client, op) = self.next_op();
             // Snapshot the wipe epoch before the first probe of this
             // attempt; re-checked after the last reply.
             let epoch = self.wipe_epoch.load(Ordering::Acquire);
@@ -661,9 +724,15 @@ impl Cluster {
             // attempt, widening until every replica is targeted.
             let width = (need + attempt as usize).min(n);
             let start = (client as usize + attempt as usize) % n;
-            let direct = self.config.plan.is_fault_free();
             let mut replies: Vec<Message> = Vec::with_capacity(need);
-            if direct {
+            if let Some(lane) = &lane {
+                for i in 0..width {
+                    let to = ((start + i) % n) as u32;
+                    steps += 1;
+                    self.router.send(lane, build(op, client, to));
+                }
+                self.collect_replies(lane, op, need, &mut replies, &mut steps);
+            } else {
                 for i in 0..width {
                     let to = ((start + i) % n) as u32;
                     steps += 1;
@@ -674,13 +743,6 @@ impl Cluster {
                         }
                     }
                 }
-            } else {
-                for i in 0..width {
-                    let to = ((start + i) % n) as u32;
-                    steps += 1;
-                    self.router.send(build(op, client, to));
-                }
-                self.collect_replies(client, op, need, &mut replies, &mut steps);
             }
             // The ack-window wipe check: a reply only proves its
             // replica held the state *when it answered*. If a replica
@@ -724,9 +786,12 @@ impl Cluster {
             for _ in 0..wait {
                 steps += 1;
                 self.backoffs.fetch_add(1, Ordering::Relaxed);
-                // Waiting ticks pump the router (Idle is cheap when
-                // the network is empty).
-                self.pump_dispatch();
+                // Waiting ticks pump the lane (Idle is cheap when it is
+                // empty); replies landing here belong to the abandoned
+                // attempt, whose reply set is discarded.
+                if let Some(lane) = &lane {
+                    self.pump_dispatch(lane, op, &mut replies);
+                }
             }
             std::thread::yield_now();
         }
@@ -736,9 +801,7 @@ impl Cluster {
     /// (no queue), honoring partitions, crashes and the step hook.
     /// Returns `None` when either endpoint is isolated or crashed.
     fn interact_direct(&self, msg: Message) -> Option<Message> {
-        if !(self.router.no_partition_fast() && self.router.no_crash_fast())
-            && (self.router.is_blocked(msg.from) || self.router.is_blocked(msg.to))
-        {
+        if self.router.blocks(&msg) {
             return None;
         }
         self.router.fire_hook(&msg);
@@ -747,23 +810,18 @@ impl Cluster {
         Some(reply)
     }
 
-    /// Pumps the router once and dispatches the delivery:
-    /// replica-bound requests are handled inline (the reply re-enters
-    /// the network), client-bound replies land in the owner's mailbox.
-    /// Returns `true` when the network was idle.
-    fn pump_dispatch(&self) -> bool {
-        match self.router.pump() {
+    /// Pumps `lane` once and dispatches the delivery: replica-bound
+    /// requests are handled inline (the reply re-enters the lane), and
+    /// a reply to the current `op` joins `replies` unless its replica
+    /// already answered. Returns `true` when the lane was idle.
+    fn pump_dispatch(&self, lane: &Lane, op: u64, replies: &mut Vec<Message>) -> bool {
+        match self.router.pump(lane) {
             Pumped::Deliver(msg) => {
                 if msg.to < Message::CLIENT_BASE {
                     let reply = self.replicas[msg.to as usize].handle(&msg);
-                    self.router.send(reply);
-                } else {
-                    self.mailboxes
-                        .lock()
-                        .expect("mailbox lock")
-                        .entry(msg.to)
-                        .or_default()
-                        .push(msg);
+                    self.router.send(lane, reply);
+                } else if msg.op == op && !replies.iter().any(|r| r.from == msg.from) {
+                    replies.push(msg);
                 }
                 false
             }
@@ -772,44 +830,20 @@ impl Cluster {
         }
     }
 
-    /// Pumps the router until `need` distinct replicas answered `op`,
-    /// or the network runs dry (returns `false`: time to retransmit).
+    /// Pumps `lane` until `need` distinct replicas answered `op`, or
+    /// the lane runs dry (time to retransmit).
     fn collect_replies(
         &self,
-        client: u32,
+        lane: &Lane,
         op: u64,
         need: usize,
         replies: &mut Vec<Message>,
         steps: &mut u64,
-    ) -> bool {
-        loop {
-            self.drain_mailbox(client, op, replies);
-            if replies.len() >= need {
-                return true;
-            }
+    ) {
+        while replies.len() < need {
             *steps += 1;
-            if self.pump_dispatch() {
-                // Another pumping thread may have deposited our
-                // replies between the drain and the pump.
-                self.drain_mailbox(client, op, replies);
-                return replies.len() >= need;
-            }
-        }
-    }
-
-    /// Moves this client's current-op replies out of its mailbox,
-    /// deduplicating by replica and dropping stale-op leftovers.
-    fn drain_mailbox(&self, client: u32, op: u64, replies: &mut Vec<Message>) {
-        let drained = {
-            let mut boxes = self.mailboxes.lock().expect("mailbox lock");
-            match boxes.get_mut(&client) {
-                Some(inbox) if !inbox.is_empty() => std::mem::take(inbox),
-                _ => return,
-            }
-        };
-        for msg in drained {
-            if msg.op == op && !replies.iter().any(|r| r.from == msg.from) {
-                replies.push(msg);
+            if self.pump_dispatch(lane, op, replies) {
+                return;
             }
         }
     }
@@ -819,10 +853,11 @@ impl Cluster {
     /// Reads replica `replica`'s word for `reg` — one protocol step,
     /// delivered synchronously (the step hook still fires).
     pub(crate) fn replica_fetch(&self, replica: u32, reg: u32) -> u64 {
+        let (client, op) = self.next_op();
         let msg = Message {
             kind: MsgKind::ReadQuery,
-            op: self.next_op.fetch_add(1, Ordering::Relaxed),
-            from: self.client_id(),
+            op,
+            from: client,
             to: replica,
             reg,
             seq: 0,
@@ -840,10 +875,11 @@ impl Cluster {
     /// one protocol step. Returns the word held before (equality with
     /// `expected` means it landed).
     pub(crate) fn replica_install(&self, replica: u32, reg: u32, expected: u64, new: u64) -> u64 {
+        let (client, op) = self.next_op();
         let msg = Message {
             kind: MsgKind::Install,
-            op: self.next_op.fetch_add(1, Ordering::Relaxed),
-            from: self.client_id(),
+            op,
+            from: client,
             to: replica,
             reg,
             seq: new as u32,
@@ -1200,6 +1236,21 @@ mod tests {
         // Wiping 0 now could destroy the only live copy of a write
         // acked on {0, 1}; the cluster refuses instead of losing data.
         cluster.restart(0, RestartMode::Wipe);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 64 are supported")]
+    fn a_config_past_the_replica_masks_is_refused() {
+        ClusterConfig::new(32);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 64 are supported")]
+    fn a_cluster_past_the_replica_masks_is_refused() {
+        Cluster::new(ClusterConfig {
+            f: 32,
+            ..ClusterConfig::new(31)
+        });
     }
 
     #[test]

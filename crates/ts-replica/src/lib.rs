@@ -5,9 +5,10 @@
 //! registers; every backend so far realized them with hardware atomics
 //! in one address space. This crate realizes them with **replication**:
 //! a [`QuorumBackend`] register is `2f + 1` in-process
-//! [`Replica`]s running the ABD majority protocol, every message
-//! flowing through a seeded, fault-injecting [`Router`] — delay,
-//! reorder, drop, duplicate, partition/heal — so the same `CollectMax`
+//! [`Replica`]s running the ABD majority protocol, every client's
+//! messages flowing through its own lane of a seeded, fault-injecting
+//! [`Router`] — delay, reorder, drop, duplicate, partition/heal — so
+//! the same `CollectMax`
 //! / `RegisterArray` / lock algorithms run unchanged on top of an
 //! unreliable network, and their guarantees can be tested *under*
 //! those faults.
@@ -17,7 +18,7 @@
 //! | module | what lives there |
 //! |---|---|
 //! | [`proto`] | [`WriteStamp`] `(seq, writer)` pairs, the flat [`Message`] envelope |
-//! | [`net`] | [`Router`]: seeded [`FaultPlan`] knobs, partitions, the per-delivery step hook |
+//! | [`net`] | [`Router`]: per-client lanes, seeded [`FaultPlan`] knobs, partitions, the per-delivery step hook |
 //! | [`replica`] | [`Replica`]: per-register `(stamp, word)` slots, handlers, the armed monotonicity invariant |
 //! | [`cluster`] | [`Cluster`]: ABD reads/writes, retransmission, [`with_cluster`] scoping; [`QuorumTs`], the message-step timestamp object |
 //! | [`backend`] | [`QuorumBackend`] / [`QuorumRegister`]: the [`RegisterBackend`](ts_register::RegisterBackend) seam |

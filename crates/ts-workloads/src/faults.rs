@@ -270,7 +270,15 @@ pub struct Campaign {
     cluster: Arc<Cluster>,
     schedule: FaultSchedule,
     ops: AtomicU64,
+    /// Index of the next event to apply. Only the holder of
+    /// `apply_lock` advances it, with a release store after applying
+    /// the event; the lock-free "anything due?" check loads it with
+    /// acquire.
     next: AtomicUsize,
+    /// Claiming and applying an event happen under this one lock, so
+    /// events take effect strictly in schedule order: a `Resume` can
+    /// never run before the `Stall` just ahead of it installs its gate.
+    apply_lock: Mutex<()>,
     /// One pending-stall gate slot per worker: `Some(gate)` while the
     /// slot is stalled. Each stall gets a *fresh* gate, released
     /// wholesale on resume, so stall/resume cycles never leak credits
@@ -301,6 +309,7 @@ impl Campaign {
             schedule,
             ops: AtomicU64::new(0),
             next: AtomicUsize::new(0),
+            apply_lock: Mutex::new(()),
             stalls: (0..slots).map(|_| Mutex::new(None)).collect(),
             applied: Mutex::new(Vec::new()),
             repair_nanos: AtomicU64::new(0),
@@ -359,27 +368,32 @@ impl Campaign {
 
     /// Engine hook, worker side, after each completed op: advances the
     /// global counter and applies every event whose threshold the new
-    /// count crosses. Claiming is a CAS on the event index, so under
-    /// multi-threaded completion races each event fires exactly once.
+    /// count crosses. Events are claimed and applied under one lock, so
+    /// under multi-threaded completion races each event fires exactly
+    /// once and in schedule order; the lock is taken only when an
+    /// event is due.
     pub(crate) fn after_op(&self) {
         let count = self.ops.fetch_add(1, Ordering::AcqRel) + 1;
+        if !self.due(self.next.load(Ordering::Acquire), count) {
+            return;
+        }
+        let _claim = self.apply_lock.lock().expect("campaign lock");
         loop {
             let idx = self.next.load(Ordering::Acquire);
-            let Some(timed) = self.schedule.events.get(idx) else {
+            if !self.due(idx, count) {
                 return;
-            };
-            if timed.at_op > count {
-                return;
-            }
-            if self
-                .next
-                .compare_exchange(idx, idx + 1, Ordering::AcqRel, Ordering::Acquire)
-                .is_err()
-            {
-                continue; // another worker claimed it
             }
             self.apply(idx, count);
+            self.next.store(idx + 1, Ordering::Release);
         }
+    }
+
+    /// Whether event `idx` exists and its threshold is at most `count`.
+    fn due(&self, idx: usize, count: u64) -> bool {
+        self.schedule
+            .events
+            .get(idx)
+            .is_some_and(|timed| timed.at_op <= count)
     }
 
     /// Drains any events the run never reached (counter ended below
@@ -568,7 +582,18 @@ mod tests {
         }]);
         let campaign = Campaign::new(Arc::clone(&cluster), schedule, 2);
         let parked_passed = AtomicBool::new(false);
+        /// Releases every parked slot if an assert fails, so the scope
+        /// can join slot 0 and the test fails instead of hanging.
+        struct ReleaseOnPanic<'a>(&'a Campaign);
+        impl Drop for ReleaseOnPanic<'_> {
+            fn drop(&mut self) {
+                if std::thread::panicking() {
+                    self.0.finish();
+                }
+            }
+        }
         std::thread::scope(|s| {
+            let _release = ReleaseOnPanic(&campaign);
             s.spawn(|| {
                 // Slot 0: first op fires the stall, second op parks.
                 campaign.before_op(0);
@@ -578,8 +603,9 @@ mod tests {
                 campaign.after_op();
             });
             // Slot 1 keeps completing ops; its second completion
-            // crosses the resume threshold (1 + 2 = 3).
-            while campaign.ops_completed() < 1 {
+            // crosses the resume threshold (1 + 2 = 3). Wait for the
+            // stall itself: op 1 is counted before it is applied.
+            while campaign.applied().is_empty() {
                 std::thread::yield_now();
             }
             assert!(campaign.stalled_slots().contains(&0));

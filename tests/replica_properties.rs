@@ -257,3 +257,80 @@ fn replica_stamps_never_regress_under_faults() {
         }
     }
 }
+
+/// Client A's deliveries from a lossy, reordering run on its own
+/// register, with a second client writing a disjoint register on
+/// another thread the whole time when `with_peer` is set. Returns A's
+/// slice of the delivery log and the full log's length.
+fn client_a_deliveries(plan: FaultPlan, with_peer: bool) -> (Vec<Message>, usize) {
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+    let cluster = Cluster::new(ClusterConfig::new(1).with_plan(plan));
+    let mine = cluster.alloc_register(0);
+    let theirs = cluster.alloc_register(0);
+    // A mints its client id first, so it is the same client (vpid 0)
+    // in both runs.
+    let a = cluster.client_id();
+    let done = AtomicBool::new(false);
+    let peer_writes = AtomicU64::new(0);
+    /// Stops the peer when A finishes, or fails, so the scope can join.
+    struct StopOnDrop<'a>(&'a AtomicBool);
+    impl Drop for StopOnDrop<'_> {
+        fn drop(&mut self) {
+            self.0.store(true, Ordering::Release);
+        }
+    }
+    std::thread::scope(|s| {
+        let _stop = StopOnDrop(&done);
+        if with_peer {
+            s.spawn(|| {
+                while !done.load(Ordering::Acquire) {
+                    cluster.abd_write(theirs, peer_writes.load(Ordering::Relaxed) + 1);
+                    peer_writes.fetch_add(1, Ordering::Release);
+                }
+            });
+            // Start once the peer is demonstrably running.
+            while peer_writes.load(Ordering::Acquire) == 0 {
+                std::thread::yield_now();
+            }
+        }
+        for word in 1..=40u64 {
+            cluster.abd_write(mine, word);
+            assert_eq!(cluster.abd_read(mine).1, word, "read your own write");
+        }
+    });
+    let log = cluster.router().delivery_log();
+    let total = log.len();
+    let own = log
+        .into_iter()
+        .filter(|m| m.from == a || m.to == a)
+        .collect();
+    (own, total)
+}
+
+/// Each client owns its network lane: its fault stream, queue and
+/// operation ids. A client's delivered sequence is therefore the same
+/// whether or not another client is hammering a disjoint register
+/// concurrently.
+#[test]
+fn a_clients_deliveries_ignore_concurrent_traffic() {
+    let plan = FaultPlan {
+        seed: 0x1a_7e5,
+        drop_permille: 150,
+        dup_permille: 80,
+        delay_max: 4,
+        reorder: true,
+        record_log: true,
+    };
+    let (alone, alone_total) = client_a_deliveries(plan, false);
+    let (shared, shared_total) = client_a_deliveries(plan, true);
+    assert!(!alone.is_empty(), "A's run sends messages");
+    assert_eq!(alone.len(), alone_total, "alone, the log is all A's");
+    assert!(
+        shared_total > shared.len(),
+        "the peer's traffic was logged too"
+    );
+    assert_eq!(
+        alone, shared,
+        "A's deliveries, bit for bit, with or without a peer"
+    );
+}
