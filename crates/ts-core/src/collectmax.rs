@@ -133,18 +133,23 @@ impl ExactSizeIterator for StampBatch {}
 pub struct CollectMax<B: RegisterBackend<u64> = PackedBackend> {
     /// One SWMR register per process, padded by default (each register
     /// has exactly one writer, the textbook false-sharing victim).
-    /// Held in a [`RegisterArray`] since the adaptive-scan PR, so every
-    /// register write feeds the array's write-summary and block dirty
-    /// words and [`read_max_scan`](CollectMax::read_max_scan) can ride
-    /// the same validated-collect ladder as the `ts-snapshot` scan.
+    /// Held in a [`RegisterArray`], so every register write feeds its
+    /// block dirty word and [`read_max_scan`](CollectMax::read_max_scan)
+    /// can ride the same validated-collect ladder as the `ts-snapshot`
+    /// scan. Every `n`-register collect here is one metered sweep.
     registers: RegisterArray<u64, B>,
     /// Cached maximum: `>=` the value of every *completed* `getTS`
     /// call, advanced only by CAS/fetch-max (hence monotone). Padded so
     /// fast-path CASes never share a line with any register.
     cached_max: CachePadded<AtomicU64>,
+    /// The registers' meter. Every call path writes the caller's
+    /// register exactly once, so its total writes *are* the call count.
     meter: SpaceMeter,
-    calls: AtomicU64,
-    fast_hits: AtomicU64,
+    /// Calls that did not take the fast path: slow-path collects,
+    /// classic [`get_ts_paused`](CollectMax::get_ts_paused) calls and
+    /// batch reservations whose first CAS lost. The fast path itself
+    /// bumps no shared counter.
+    misses: AtomicU64,
     batches: AtomicU64,
     batched_stamps: AtomicU64,
     scan_recollects: AtomicU64,
@@ -195,8 +200,7 @@ impl<B: RegisterBackend<u64>> CollectMax<B> {
             registers: RegisterArray::with_layout_and_meter(processes, 0, layout, meter.clone()),
             cached_max: CachePadded::new(AtomicU64::new(0)),
             meter,
-            calls: AtomicU64::new(0),
-            fast_hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
             batches: AtomicU64::new(0),
             batched_stamps: AtomicU64::new(0),
             scan_recollects: AtomicU64::new(0),
@@ -212,8 +216,13 @@ impl<B: RegisterBackend<u64>> CollectMax<B> {
         self.registers.capacity()
     }
 
-    fn read_register(&self, index: usize) -> u64 {
-        self.registers.read(index).expect("index in range")
+    /// Max of `floor` and every register, read as one metered sweep
+    /// with `pause` before each register read.
+    fn collect_max(&self, floor: u64, pause: impl FnMut()) -> u64 {
+        let mut max = floor;
+        self.registers
+            .for_each_value(0..self.register_count(), pause, |_, v| max = max.max(v));
+        max
     }
 
     fn write_register(&self, index: usize, value: u64) {
@@ -227,16 +236,19 @@ impl<B: RegisterBackend<u64>> CollectMax<B> {
         &self.meter
     }
 
-    /// Total `getTS` calls served so far.
+    /// Total `getTS` calls served so far (batches included): the
+    /// meter's total register writes, since every call writes its own
+    /// register exactly once.
     pub fn calls(&self) -> u64 {
-        self.calls.load(Ordering::Relaxed)
+        self.meter.snapshot().total_writes()
     }
 
     /// `getTS` calls served by the cached-max fast path (one load + one
     /// CAS, no collect). `calls() - fast_path_hits()` took the full
     /// collect fallback.
     pub fn fast_path_hits(&self) -> u64 {
-        self.fast_hits.load(Ordering::Relaxed)
+        self.calls()
+            .saturating_sub(self.misses.load(Ordering::Relaxed))
     }
 
     /// Unified hot-path counter snapshot (the [`ServiceStats`] fold of
@@ -245,17 +257,17 @@ impl<B: RegisterBackend<u64>> CollectMax<B> {
     /// opaque throughput. Combining counters stay zero — this object
     /// has no combiner; `shard_stamps` is the single-shard vector.
     pub fn stats(&self) -> ServiceStats {
-        let calls = self.calls.load(Ordering::Relaxed);
+        let calls = self.calls();
         let batches = self.batches.load(Ordering::Relaxed);
         let batched = self.batched_stamps.load(Ordering::Relaxed);
         // Non-batch calls issue one stamp each (saturating: a racing
-        // snapshot may observe a call's batch bump before its call
-        // bump — the counters are Relaxed by design).
+        // snapshot may observe a call's batch or miss bump before its
+        // register write — the counters are Relaxed by design).
         let stamps = calls.saturating_sub(batches) + batched;
         ServiceStats {
             calls,
             stamps,
-            fast_hits: self.fast_hits.load(Ordering::Relaxed),
+            fast_hits: calls.saturating_sub(self.misses.load(Ordering::Relaxed)),
             batches,
             batched_stamps: batched,
             shard_stamps: vec![stamps],
@@ -325,9 +337,8 @@ impl<B: RegisterBackend<u64>> CollectMax<B> {
             }
         }
         self.write_register(pid, m + k);
-        self.calls.fetch_add(1, Ordering::Relaxed);
-        if first_attempt {
-            self.fast_hits.fetch_add(1, Ordering::Relaxed);
+        if !first_attempt {
+            self.misses.fetch_add(1, Ordering::Relaxed);
         }
         if k > 1 {
             self.batches.fetch_add(1, Ordering::Relaxed);
@@ -374,19 +385,14 @@ impl<B: RegisterBackend<u64>> CollectMax<B> {
         if pid >= n {
             return Err(GetTsError::PidOutOfRange { pid, processes: n });
         }
-        let mut max = 0u64;
-        for i in 0..n {
-            pause();
-            max = max.max(self.read_register(i));
-        }
-        let t = max + 1;
+        let t = self.collect_max(0, &mut pause) + 1;
         pause();
         self.write_register(pid, t);
         // Silent cache publication (see above): not an announced
         // sub-step, but required so fast-path readers observe this
         // call's value once it completes.
         self.cached_max.fetch_max(t, Ordering::AcqRel);
-        self.calls.fetch_add(1, Ordering::Relaxed);
+        self.misses.fetch_add(1, Ordering::Relaxed);
         Ok(Timestamp::scalar(t))
     }
 
@@ -462,8 +468,6 @@ impl<B: RegisterBackend<u64>> CollectMax<B> {
                     // collectors (I3).
                     pause();
                     self.write_register(pid, t);
-                    self.fast_hits.fetch_add(1, Ordering::Relaxed);
-                    self.calls.fetch_add(1, Ordering::Relaxed);
                     return Ok(Timestamp::scalar(t));
                 }
                 Err(now) => now,
@@ -475,12 +479,7 @@ impl<B: RegisterBackend<u64>> CollectMax<B> {
         // value a floor for later outputs), then publish into the cache
         // (I2) with a CAS retry chain (fetch_max spelled out so every
         // access has a pause point).
-        let mut max = observed;
-        for i in 0..n {
-            pause();
-            max = max.max(self.read_register(i));
-        }
-        let t = max + 1;
+        let t = self.collect_max(observed, &mut pause) + 1;
         pause();
         self.write_register(pid, t);
         pause();
@@ -495,7 +494,7 @@ impl<B: RegisterBackend<u64>> CollectMax<B> {
                 Err(now) => cur = now,
             }
         }
-        self.calls.fetch_add(1, Ordering::Relaxed);
+        self.misses.fetch_add(1, Ordering::Relaxed);
         Ok(Timestamp::scalar(t))
     }
 
@@ -521,15 +520,11 @@ impl<B: RegisterBackend<u64>> CollectMax<B> {
     }
 
     /// Read-only full collect: the maximum value currently in any
-    /// register, without consulting the cache. Costs `n` metered reads;
-    /// kept for diagnostics and for benchmarking against
+    /// register, without consulting the cache. Costs `n` metered reads
+    /// (one sweep); kept for diagnostics and for benchmarking against
     /// [`read_max`](Self::read_max).
     pub fn read_max_collect(&self) -> Timestamp {
-        let mut max = 0u64;
-        for i in 0..self.register_count() {
-            max = max.max(self.read_register(i));
-        }
-        Timestamp::scalar(max)
+        Timestamp::scalar(self.collect_max(0, || {}))
     }
 
     /// Read-only **validated** collect: the maximum value in a
@@ -686,6 +681,82 @@ mod tests {
         // Solo fast path: cache load, CAS, own write.
         assert_eq!(pauses, 3);
         assert_eq!(ts.fast_path_hits(), 1);
+    }
+
+    #[test]
+    fn counters_split_calls_into_fast_hits_and_misses() {
+        let n = 3;
+        let ts = CollectMax::new(n);
+        let counts = |ts: &CollectMax| (ts.calls(), ts.fast_path_hits());
+        let reads = |ts: &CollectMax| ts.meter().snapshot().total_reads();
+
+        // Fast path: a call and a hit, no register read.
+        ts.get_ts(0).unwrap();
+        assert_eq!(counts(&ts), (1, 1));
+        assert_eq!(reads(&ts), 0);
+
+        // Classic path: a call and a miss, one n-register sweep.
+        ts.get_ts_paused(1, || {}).unwrap();
+        assert_eq!(counts(&ts), (2, 1));
+        assert_eq!(reads(&ts), n as u64);
+
+        // Forced slow path: before this call's CAS (its second pause),
+        // another process advances the cache, so the CAS loses and the
+        // call falls back to the collect.
+        let mut pauses = 0;
+        let t = ts
+            .get_ts_fast_paused(2, || {
+                pauses += 1;
+                if pauses == 2 {
+                    ts.get_ts(0).unwrap();
+                }
+            })
+            .unwrap();
+        assert_eq!(t, Timestamp::scalar(4));
+        assert_eq!(counts(&ts), (4, 2), "the nested call hit, the outer missed");
+        assert_eq!(reads(&ts), 2 * n as u64);
+        assert_eq!(ts.meter().snapshot().reads, vec![2; n]);
+
+        // Batches: a first-attempt CAS is a hit; each batch is one call.
+        ts.get_ts_batch(1, 4).unwrap();
+        assert_eq!(counts(&ts), (5, 3));
+        let stats = ts.stats();
+        assert_eq!(stats.calls, 5);
+        assert_eq!(stats.fast_hits, 3);
+        assert_eq!(stats.stamps, 8);
+        assert_eq!(stats.batches, 1);
+        assert_eq!(stats.batched_stamps, 4);
+
+        // read_max_collect is one more sweep and no call.
+        assert_eq!(ts.read_max_collect(), Timestamp::scalar(8));
+        assert_eq!(ts.meter().snapshot().reads, vec![3; n]);
+        assert_eq!(ts.calls(), 5);
+
+        // Contended: losing CASes (batch retries, slow paths) are
+        // misses, and the split stays exact after join.
+        let ts = CollectMax::new(2);
+        crossbeam::scope(|s| {
+            for p in 0..2 {
+                let ts = &ts;
+                s.spawn(move |_| {
+                    for i in 0..500 {
+                        if i % 2 == 0 {
+                            ts.get_ts_batch(p, 3).unwrap();
+                        } else {
+                            ts.get_ts(p).unwrap();
+                        }
+                    }
+                });
+            }
+        })
+        .unwrap();
+        let stats = ts.stats();
+        assert_eq!(stats.calls, 1000);
+        assert_eq!(stats.stamps, 500 * 3 + 500);
+        assert_eq!(
+            stats.fast_hits + ts.misses.load(Ordering::Relaxed),
+            stats.calls
+        );
     }
 
     #[test]

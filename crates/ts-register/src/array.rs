@@ -2,6 +2,7 @@
 
 use std::fmt;
 use std::marker::PhantomData;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::backend::{BackendRegister, EpochBackend, PackedBackend, RegisterBackend};
@@ -37,15 +38,18 @@ impl ArrayLayout {
     }
 }
 
-/// Snapshot of a [`RegisterArray`]'s write-summary word.
+/// A reading of a [`RegisterArray`] dirty word: one block's
+/// ([`RegisterArray::block_summary`]) or the array-wide sum over all
+/// blocks ([`RegisterArray::summary`]).
 ///
-/// The array maintains one `AtomicU64` beside the registers, packing
-/// two 32-bit counts: writes **begun** (high half, bumped immediately
-/// before the register store) and writes **completed** (low half,
-/// bumped immediately after). Two summary reads bracketing a collect
-/// let a reader prove the collect saw a quiescent array — see
-/// [`WriteSummary::no_writes_during`] — which is what lets the
-/// `ts-snapshot` scan skip its second collect in the uncontended case.
+/// Each block of [`BLOCK_REGISTERS`] registers has one `AtomicU64`
+/// beside the registers, packing two 32-bit counts: writes **begun**
+/// (high half, bumped immediately before the register store) and writes
+/// **completed** (low half, bumped immediately after). Two readings
+/// bracketing a collect let a reader prove the collect saw a quiescent
+/// block (or array) — see [`WriteSummary::no_writes_during`] — which is
+/// what lets the `ts-snapshot` scan skip its second collect in the
+/// uncontended case.
 ///
 /// A *single* generation counter could not do this soundly: it detects
 /// writes that completed inside the window but not writes *in flight*
@@ -60,6 +64,12 @@ pub struct WriteSummary {
 }
 
 impl WriteSummary {
+    fn from_halves(begun: u32, completed: u32) -> Self {
+        Self {
+            raw: (u64::from(begun) << 32) | u64::from(completed),
+        }
+    }
+
     /// Writes begun, mod 2³² (bumped before each register store).
     pub fn begun(self) -> u32 {
         (self.raw >> 32) as u32
@@ -87,7 +97,7 @@ impl WriteSummary {
     ///
     /// Wrap caveat (same class as the packed stamp wrap): the counts
     /// are 32-bit, so the check could be fooled only by ~2³² write
-    /// *begins* landing between the two summary reads — unreachable in
+    /// *begins* landing between the two readings — unreachable in
     /// any real schedule. Both halves stay exact mod 2³² across wraps:
     /// the begun bump wraps off the top of the word, and the writer
     /// that wraps the completed half immediately cancels the carry it
@@ -98,24 +108,26 @@ impl WriteSummary {
     }
 }
 
-/// One `begun` tick in the packed summary word (high half).
+/// One `begun` tick in a packed dirty word (high half).
 const SUMMARY_BEGUN_ONE: u64 = 1 << 32;
 
 /// Registers covered by one block dirty word (see
 /// [`RegisterArray::block_summary`]): a retrying scanner narrows its
 /// recollect to the registers of blocks whose dirty word moved, so the
 /// block size trades recollect precision (smaller blocks) against
-/// per-write bump traffic and summary-sweep length (larger blocks).
-/// 64 keeps a 4096-register array's dirty sweep at 64 one-word loads.
+/// dirty-sweep length (larger blocks). 64 keeps a 4096-register
+/// array's dirty sweep at 64 one-word loads, and makes every array of
+/// at most 64 registers a single block whose word is the whole-array
+/// summary.
 pub const BLOCK_REGISTERS: usize = 64;
 
-/// Bumps the `begun` half of a summary word (immediately before a
+/// Bumps the `begun` half of a dirty word (immediately before a
 /// register store). The bump wraps off the top of the word cleanly.
 fn bump_begun(word: &AtomicU64) {
     word.fetch_add(SUMMARY_BEGUN_ONE, Ordering::SeqCst);
 }
 
-/// Bumps the `completed` half of a summary word (immediately after a
+/// Bumps the `completed` half of a dirty word (immediately after a
 /// register store), cancelling the carry when the low half wraps —
 /// see the comment in [`RegisterArray::write`].
 fn bump_completed(word: &AtomicU64) {
@@ -202,20 +214,26 @@ impl<T: fmt::Debug> fmt::Debug for Slots<T> {
 /// read of each register in index order), the building block of the
 /// double-collect scan.
 ///
-/// # Memory layout and the write summary
+/// # Memory layout, dirty words and metering
 ///
-/// Two contention-aware features live at the array level (see the
+/// Three contention-aware features live at the array level (see the
 /// "Hot paths & memory layout" section of `ARCHITECTURE.md`):
 ///
 /// - registers are laid out **one per cache line** by default
 ///   ([`ArrayLayout::Padded`]); [`with_layout`](RegisterArray::with_layout)
 ///   opts into the compact layout for memory-tight arrays;
-/// - every write brackets its register store with bumps of a shared
-///   **write-summary word** (one padded `AtomicU64`), so readers can
-///   prove "nothing changed while I collected" from two one-word loads
-///   — see [`WriteSummary`] and [`RegisterArray::summary`]. The
-///   `ts-snapshot` scan uses this to skip its second collect whenever
-///   the array is quiescent.
+/// - every write brackets its register store with bumps of **its
+///   block's dirty word** (one padded `AtomicU64` per
+///   [`BLOCK_REGISTERS`] registers) and of nothing else, so readers can
+///   prove "nothing changed while I collected" from one-word loads —
+///   see [`WriteSummary`], [`RegisterArray::block_summary`] and the
+///   derived whole-array [`RegisterArray::summary`]. The `ts-snapshot`
+///   scan uses this to skip its second collect whenever the array is
+///   quiescent;
+/// - a metered array records each whole-range pass (a collect, a stamp
+///   sweep, a value sweep) as one [`SpaceMeter::record_sweep`], so a
+///   collect costs the meter at most two counter updates, not one per
+///   register.
 ///
 /// The default backend is [`EpochBackend`] (values of any size); arrays
 /// of small [`Packable`] values can opt into the word-inlined
@@ -240,18 +258,22 @@ impl<T: fmt::Debug> fmt::Debug for Slots<T> {
 /// packed.write(2, 7).unwrap();
 /// assert_eq!(packed.read(2).unwrap(), 7);
 /// ```
+// Aligned like `CachePadded`: every access loads the header (register
+// and dirty-word pointers), so it must not share a line with a written
+// neighbour, such as an owning object's counters.
+#[repr(align(128))]
 pub struct RegisterArray<T, B: RegisterBackend<T> = EpochBackend> {
     registers: Slots<B::Reg>,
-    /// Packed begun/completed write counts; padded so summary bumps
-    /// never contend with register lines.
-    summary: CachePadded<AtomicU64>,
     /// Per-block dirty words, one per [`BLOCK_REGISTERS`] registers,
-    /// with the same begun/completed packing as `summary`. A write
-    /// brackets its store with bumps of *both* its block word and the
-    /// global word, so a retrying scanner can localize interference to
-    /// blocks instead of re-sweeping the whole array — see
-    /// [`RegisterArray::block_summary`].
+    /// packing begun/completed write counts; padded so the bumps never
+    /// contend with register lines. A write brackets its store with
+    /// bumps of its block word only, so a retrying scanner can localize
+    /// interference to blocks instead of re-sweeping the whole array —
+    /// see [`RegisterArray::block_summary`]. The whole-array
+    /// [`summary`](RegisterArray::summary) is derived from these.
     blocks: Box<[CachePadded<AtomicU64>]>,
+    /// Register-traffic meter: single reads and writes are recorded per
+    /// register, whole-range passes as one sweep each.
     meter: Option<SpaceMeter>,
     _value: PhantomData<fn(T) -> T>,
 }
@@ -298,7 +320,6 @@ impl<T: Clone + Send + Sync, B: RegisterBackend<T>> RegisterArray<T, B> {
         let block_count = capacity.div_ceil(BLOCK_REGISTERS);
         Self {
             registers: Slots::new(layout, capacity, |_| B::Reg::with_initial(initial.clone())),
-            summary: CachePadded::new(AtomicU64::new(0)),
             blocks: (0..block_count)
                 .map(|_| CachePadded::new(AtomicU64::new(0)))
                 .collect(),
@@ -354,14 +375,26 @@ impl<T: Clone + Send + Sync, B: RegisterBackend<T>> RegisterArray<T, B> {
         self.meter.as_ref()
     }
 
-    /// Reads the write-summary word (one `SeqCst` load).
+    /// The whole-array write summary: per-half wrapping sums of every
+    /// block dirty word (one `SeqCst` load per block, unmetered; a
+    /// single load for arrays of at most [`BLOCK_REGISTERS`] registers).
     ///
-    /// See [`WriteSummary`] for what two of these prove about a collect
-    /// bracketed between them.
+    /// Two of these bracketing a collect prove, via
+    /// [`WriteSummary::no_writes_during`], that no register store
+    /// executed inside the window. The sum is sound although its block
+    /// loads happen at different instants: every block's load in the
+    /// opening reading precedes the collect and every load in the
+    /// closing one follows it, so each block's `completed` before is at
+    /// most its `begun` after, and the two sums can only be equal if
+    /// every block's pair is.
     pub fn summary(&self) -> WriteSummary {
-        WriteSummary {
-            raw: self.summary.load(Ordering::SeqCst),
+        let (mut begun, mut completed) = (0u32, 0u32);
+        for block in 0..self.blocks.len() {
+            let s = self.block_summary(block);
+            begun = begun.wrapping_add(s.begun());
+            completed = completed.wrapping_add(s.completed());
         }
+        WriteSummary::from_halves(begun, completed)
     }
 
     /// Number of block dirty words (`ceil(capacity / BLOCK_REGISTERS)`).
@@ -392,9 +425,9 @@ impl<T: Clone + Send + Sync, B: RegisterBackend<T>> RegisterArray<T, B> {
     ///
     /// Two of these bracketing a window prove, via
     /// [`WriteSummary::no_writes_during`], that no store to any register
-    /// of that block executed inside the window — the per-block
-    /// refinement of the global summary that lets a retrying scanner
-    /// re-read only the registers of blocks that actually moved.
+    /// of that block executed inside the window — what lets a retrying
+    /// scanner re-read only the registers of blocks that actually
+    /// moved.
     ///
     /// # Panics
     ///
@@ -461,7 +494,7 @@ impl<T: Clone + Send + Sync, B: RegisterBackend<T>> RegisterArray<T, B> {
     }
 
     /// Writes `value` to register `index`, bracketed by the
-    /// begun/completed bumps of the write-summary word.
+    /// begun/completed bumps of its block's dirty word.
     ///
     /// # Errors
     ///
@@ -471,14 +504,11 @@ impl<T: Clone + Send + Sync, B: RegisterBackend<T>> RegisterArray<T, B> {
         if let Some(meter) = &self.meter {
             meter.record_write(index);
         }
-        // `SeqCst` bumps so summary loads, register accesses and these
-        // RMWs order consistently; see the ordering contract in
+        // `SeqCst` bumps so dirty-word loads, register accesses and
+        // these RMWs order consistently; see the ordering contract in
         // `crate::backend`. The begun bump (high half) wraps off the
-        // top of the word cleanly. The store is bracketed twice — by
-        // the global word and by its block's dirty word — so readers
-        // can prove quiescence at either granularity; the brackets
-        // nest (global begun, block begun, store, block completed,
-        // global completed) but each word's proof stands alone.
+        // top of the word cleanly. One word brackets the store: its
+        // block's, which also feeds the derived whole-array summary.
         //
         // On the completed bump, when the low half wraps its +1 carries
         // into the begun half; `bump_completed` cancels the carry so
@@ -487,15 +517,24 @@ impl<T: Clone + Send + Sync, B: RegisterBackend<T>> RegisterArray<T, B> {
         // spurious "write in flight" only costs a validation sweep,
         // never a false quiescence claim). Without this, one wrap would
         // leave `begun == completed + 1` at quiescence *forever*,
-        // permanently disabling the scan's summary short-circuit after
+        // permanently disabling the scan's dirty-word short-circuit after
         // 2³² writes.
         let block = &self.blocks[Self::block_of(index)];
-        bump_begun(&self.summary);
         bump_begun(block);
         self.registers.get(index).write(value);
         bump_completed(block);
-        bump_completed(&self.summary);
         Ok(())
+    }
+
+    /// Visits every register of `range` in index order, then records
+    /// the pass as one sweep on the meter.
+    fn sweep(&self, range: Range<usize>, mut visit: impl FnMut(usize, &B::Reg)) {
+        for index in range.clone() {
+            visit(index, self.registers.get(index));
+        }
+        if let Some(meter) = &self.meter {
+            meter.record_sweep(range);
+        }
     }
 
     /// Reads every register once, in index order, returning the observed
@@ -506,20 +545,55 @@ impl<T: Clone + Send + Sync, B: RegisterBackend<T>> RegisterArray<T, B> {
     /// [`summary`](RegisterArray::summary) reads bracketing it satisfy
     /// [`WriteSummary::no_writes_during`]. The `ts-snapshot` scan
     /// packages that check; use it when an atomic view is required.
+    ///
+    /// Metered as one sweep over the whole array.
     pub fn collect(&self) -> Vec<Stamped<T>> {
-        (0..self.capacity())
-            .map(|i| self.read_stamped(i).expect("index in range"))
-            .collect()
+        let mut view = Vec::with_capacity(self.capacity());
+        self.sweep(0..self.capacity(), |_, reg| view.push(reg.read_stamped()));
+        view
     }
 
     /// Reads every register's stamp once, in index order — a collect
     /// that only observes *whether* registers changed, at the cost of
     /// one stamp read each (no value clones). The scan's validation
-    /// sweeps use this instead of a second full collect.
+    /// sweeps use this instead of a second full collect. Metered as one
+    /// sweep.
     pub fn collect_stamps(&self) -> Vec<Stamp> {
-        (0..self.capacity())
-            .map(|i| self.stamp(i).expect("index in range"))
-            .collect()
+        let mut stamps = Vec::with_capacity(self.capacity());
+        self.for_each_stamp(0..self.capacity(), |_, stamp| stamps.push(stamp));
+        stamps
+    }
+
+    /// Reads the stamp of every register in `range`, in index order,
+    /// passing `(index, stamp)` to `f` — a partial
+    /// [`collect_stamps`](Self::collect_stamps), metered as one sweep.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `range.end > capacity()`.
+    pub fn for_each_stamp(&self, range: Range<usize>, mut f: impl FnMut(usize, Stamp)) {
+        self.sweep(range, |index, reg| f(index, reg.stamp()));
+    }
+
+    /// Reads the value of every register in `range`, in index order,
+    /// passing `(index, value)` to `f`; `before_read` runs immediately
+    /// before each register read (the step seam of the replay harness,
+    /// `|| {}` otherwise). Metered as one sweep; the meter update is
+    /// not a register access, so it adds no step to the seam.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `range.end > capacity()`.
+    pub fn for_each_value(
+        &self,
+        range: Range<usize>,
+        mut before_read: impl FnMut(),
+        mut f: impl FnMut(usize, T),
+    ) {
+        self.sweep(range, |index, reg| {
+            before_read();
+            f(index, reg.read());
+        });
     }
 }
 
@@ -629,13 +703,14 @@ mod tests {
 
     #[test]
     fn summary_survives_the_completed_half_wrap() {
-        // Seed the word at begun == completed == u32::MAX (4 billion
+        // Seed block 0's word (the only block, so the derived summary
+        // is that word) at begun == completed == u32::MAX (4 billion
         // quiescent writes ago) and cross the wrap: the carry the
         // completed bump pushes into begun must be cancelled, so the
         // quiescence check keeps working on the far side.
         let array: PackedRegisterArray<u32> = RegisterArray::new_packed(1, 0);
         let seeded = (u64::from(u32::MAX) << 32) | u64::from(u32::MAX);
-        array.summary.store(seeded, Ordering::SeqCst);
+        array.blocks[0].store(seeded, Ordering::SeqCst);
         array.write(0, 7).unwrap();
         let s = array.summary();
         assert_eq!(s.begun(), 0, "begun must wrap cleanly");
@@ -689,7 +764,7 @@ mod tests {
             "block 1 must record the write"
         );
         assert_eq!(post[1].generation(), 1);
-        // The global summary still sees every write.
+        // The derived whole-array summary still sees every write.
         assert_eq!(array.summary().generation(), 1);
         assert_eq!(PackedRegisterArray::<u32>::block_of(64), 1);
         assert_eq!(PackedRegisterArray::<u32>::block_of(63), 0);
@@ -697,10 +772,10 @@ mod tests {
 
     #[test]
     fn block_summary_survives_the_completed_half_wrap() {
-        // Same carry-cancel regression as the global summary word
-        // (`summary_survives_the_completed_half_wrap`), on a block
-        // dirty word: seed it at begun == completed == u32::MAX and
-        // cross the wrap.
+        // The carry-cancel regression read through `block_summary`
+        // (`summary_survives_the_completed_half_wrap` reads the same
+        // word through the derived summary): seed it at
+        // begun == completed == u32::MAX and cross the wrap.
         let array: PackedRegisterArray<u32> = RegisterArray::new_packed(1, 0);
         let seeded = (u64::from(u32::MAX) << 32) | u64::from(u32::MAX);
         array.blocks[0].store(seeded, Ordering::SeqCst);
@@ -756,6 +831,42 @@ mod tests {
     }
 
     #[test]
+    fn summary_sums_blocks_across_a_wrap() {
+        // Two blocks, one seeded at begun == completed == u32::MAX: the
+        // per-half sums must wrap exactly (no carry from completed into
+        // begun) and prove quiescence on both sides of the wrap.
+        let array: PackedRegisterArray<u32> = RegisterArray::new_packed(65, 0);
+        let seeded = (u64::from(u32::MAX) << 32) | u64::from(u32::MAX);
+        array.blocks[1].store(seeded, Ordering::SeqCst);
+        array.write(0, 1).unwrap();
+        let s = array.summary();
+        assert_eq!((s.begun(), s.completed()), (0, 0));
+        assert!(WriteSummary::no_writes_during(s, array.summary()));
+        array.write(64, 2).unwrap();
+        assert!(!WriteSummary::no_writes_during(s, array.summary()));
+        assert_eq!(array.summary().generation(), 1);
+    }
+
+    #[test]
+    fn sweeps_meter_one_read_per_register() {
+        let meter = SpaceMeter::new(130);
+        let array = RegisterArray::with_meter(130, 0u32, meter.clone());
+        let _ = array.collect();
+        let _ = array.collect_stamps();
+        array.for_each_stamp(array.block_range(2), |_, _| {});
+        let mut pauses = 0;
+        let mut seen = Vec::new();
+        array.for_each_value(64..66, || pauses += 1, |i, v| seen.push((i, v)));
+        assert_eq!(pauses, 2);
+        assert_eq!(seen, vec![(64, 0), (65, 0)]);
+        let reads = meter.snapshot().reads;
+        let expected: Vec<u64> = (0..130)
+            .map(|i| 2 + u64::from(i >= 128) + u64::from((64..66).contains(&i)))
+            .collect();
+        assert_eq!(reads, expected);
+    }
+
+    #[test]
     fn collect_stamps_matches_full_collect() {
         let array: PackedRegisterArray<u32> = RegisterArray::new_packed(3, 0);
         array.write(2, 5).unwrap();
@@ -776,6 +887,12 @@ mod tests {
             }
             Slots::Compact(_) => panic!("default layout must be padded"),
         }
+    }
+
+    #[test]
+    fn header_is_aligned_off_its_neighbours() {
+        assert_eq!(std::mem::align_of::<PackedRegisterArray<u32>>(), 128);
+        assert_eq!(std::mem::align_of::<RegisterArray<String>>(), 128);
     }
 
     #[test]

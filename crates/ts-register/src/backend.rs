@@ -67,11 +67,14 @@
 //! stamps only register-wise and only through this accessor.
 //!
 //! Two pieces sit deliberately *outside* the Acquire/Release budget:
-//! the per-array write-summary word
-//! ([`RegisterArray::summary`](crate::RegisterArray::summary)) uses
-//! `SeqCst` bumps and loads, because its quiescence proof counts
-//! events across *different* threads' writes and must not let summary
-//! bumps reorder around the bracketed register accesses; and the
+//! the per-block dirty words of a `RegisterArray`
+//! ([`RegisterArray::block_summary`](crate::RegisterArray::block_summary),
+//! one word per block, bumped before and after each store to that
+//! block and nothing else; the whole-array
+//! [`summary`](crate::RegisterArray::summary) is their sum) use
+//! `SeqCst` bumps and loads, because their quiescence proof counts
+//! events across *different* threads' writes and must not let a bump
+//! reorder around the bracketed register accesses; and the
 //! collect-max cached maximum (`ts-core`) uses CAS/fetch-max RMWs,
 //! whose read-modify-write atomicity — not ordering — carries its
 //! monotonicity argument.

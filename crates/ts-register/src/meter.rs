@@ -6,8 +6,17 @@
 //! written. The derived quantities (`registers_written`,
 //! `registers_accessed`, `max_written_index`) are exactly what the
 //! experiment tables of EXPERIMENTS.md report against the paper's bounds.
+//!
+//! A whole-range read pass (a collect, a stamp sweep over one block) is
+//! recorded as **one** [`SpaceMeter::record_sweep`] instead of one
+//! counter bump per register: the sweep adds +1 at the range start and
+//! −1 at its end in a difference array, and [`SpaceMeter::snapshot`]
+//! folds the prefix sum back into per-register read counts. The public
+//! counts stay exact; only the bookkeeping cost per sweep drops from
+//! `len` shared RMWs to at most two.
 
 use std::fmt;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -17,13 +26,19 @@ use crate::traits::Register;
 struct Counters {
     reads: AtomicU64,
     writes: AtomicU64,
+    /// Difference-array entry for sweeps: +1 per sweep starting here,
+    /// −1 (wrapping) per sweep ending here. The prefix sum up to index
+    /// `i` is the number of sweeps that covered register `i`.
+    sweep_delta: AtomicU64,
 }
 
 /// Shared recorder of per-register read/write counts.
 ///
 /// Clone the meter (cheap; internally `Arc`) and attach it to registers
 /// via [`SpaceMeter::wrap`] or record manually with
-/// [`SpaceMeter::record_read`] / [`SpaceMeter::record_write`].
+/// [`SpaceMeter::record_read`] / [`SpaceMeter::record_write`], or
+/// [`SpaceMeter::record_sweep`] for one read of every register in a
+/// range.
 ///
 /// # Example
 ///
@@ -67,6 +82,30 @@ impl SpaceMeter {
         self.counters[index].reads.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Records one read of every register in `range` — a collect or a
+    /// stamp sweep — with at most two counter updates instead of
+    /// `range.len()`. An empty range records nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `range.end > capacity`.
+    pub fn record_sweep(&self, range: Range<usize>) {
+        assert!(
+            range.end <= self.capacity(),
+            "sweep {range:?} out of meter capacity {}",
+            self.capacity()
+        );
+        if range.is_empty() {
+            return;
+        }
+        self.counters[range.start]
+            .sweep_delta
+            .fetch_add(1, Ordering::Relaxed);
+        if let Some(end) = self.counters.get(range.end) {
+            end.sweep_delta.fetch_sub(1, Ordering::Relaxed);
+        }
+    }
+
     /// Records a write of register `index`.
     ///
     /// # Panics
@@ -95,13 +134,18 @@ impl SpaceMeter {
     ///
     /// Counter updates are relaxed; the snapshot is exact once the metered
     /// execution has quiesced (which is how the experiment harness uses
-    /// it).
+    /// it). Each register's `reads` is its single reads plus the sweeps
+    /// covering it (the prefix sum of the sweep difference array).
     pub fn snapshot(&self) -> MeterSnapshot {
+        let mut swept = 0u64;
         MeterSnapshot {
             reads: self
                 .counters
                 .iter()
-                .map(|c| c.reads.load(Ordering::Relaxed))
+                .map(|c| {
+                    swept = swept.wrapping_add(c.sweep_delta.load(Ordering::Relaxed));
+                    c.reads.load(Ordering::Relaxed).wrapping_add(swept)
+                })
                 .collect(),
             writes: self
                 .counters
@@ -228,6 +272,12 @@ mod tests {
         assert_eq!(snap.max_written_index(), Some(1));
         assert_eq!(snap.total_reads(), 2);
         assert_eq!(snap.total_writes(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of meter capacity")]
+    fn sweep_past_capacity_panics() {
+        SpaceMeter::new(2).record_sweep(1..3);
     }
 
     #[test]

@@ -85,6 +85,95 @@ proptest! {
     }
 }
 
+/// Meter capacity for the sweep-model properties.
+const SWEEP_CAP: usize = 8;
+
+/// Applies one decoded meter op to `meter` and to the naive per-read
+/// model `(reads, writes)`: kinds 0/1 are a single read/write of `a`,
+/// 2 a partial sweep between `a` and `b` (empty when they are equal),
+/// 3 a full sweep and 4 the tail sweep from `a`.
+fn apply_meter_op(
+    meter: &SpaceMeter,
+    model: &mut (Vec<u64>, Vec<u64>),
+    (kind, a, b): (u8, usize, usize),
+) {
+    let range = match kind {
+        0 => {
+            meter.record_read(a % SWEEP_CAP);
+            model.0[a % SWEEP_CAP] += 1;
+            return;
+        }
+        1 => {
+            meter.record_write(a % SWEEP_CAP);
+            model.1[a % SWEEP_CAP] += 1;
+            return;
+        }
+        2 => a.min(b)..a.max(b),
+        3 => 0..SWEEP_CAP,
+        _ => a..SWEEP_CAP,
+    };
+    meter.record_sweep(range.clone());
+    for i in range {
+        model.0[i] += 1;
+    }
+}
+
+fn meter_op() -> impl Strategy<Value = (u8, usize, usize)> {
+    (0u8..5, 0usize..SWEEP_CAP + 1, 0usize..SWEEP_CAP + 1)
+}
+
+proptest! {
+    /// Range-metered sweeps are exact: any interleaving of single
+    /// reads, writes and sweeps (empty, partial, tail and full ranges)
+    /// yields the snapshot of a naive model that counts every read.
+    #[test]
+    fn sweeps_match_a_per_read_model(ops in proptest::collection::vec(meter_op(), 0..120)) {
+        let meter = SpaceMeter::new(SWEEP_CAP);
+        let mut model = (vec![0; SWEEP_CAP], vec![0; SWEEP_CAP]);
+        for &op in &ops {
+            apply_meter_op(&meter, &mut model, op);
+        }
+        let snap = meter.snapshot();
+        prop_assert_eq!(snap.reads, model.0);
+        prop_assert_eq!(snap.writes, model.1);
+    }
+
+    /// The same model, with the ops split over concurrent threads:
+    /// relaxed counter updates lose nothing, so the snapshot is exact
+    /// after join.
+    #[test]
+    fn concurrent_sweeps_are_exact_after_join(
+        per_thread in proptest::collection::vec(
+            proptest::collection::vec(meter_op(), 0..200),
+            1..4,
+        ),
+    ) {
+        let meter = SpaceMeter::new(SWEEP_CAP);
+        let mut model = (vec![0; SWEEP_CAP], vec![0; SWEEP_CAP]);
+        crossbeam::scope(|s| {
+            for ops in &per_thread {
+                let meter = meter.clone();
+                s.spawn(move |_| {
+                    // Per-thread model counts are discarded; the
+                    // sequential replay below builds the reference.
+                    let mut unused = (vec![0; SWEEP_CAP], vec![0; SWEEP_CAP]);
+                    for &op in ops {
+                        apply_meter_op(&meter, &mut unused, op);
+                    }
+                });
+            }
+        })
+        .unwrap();
+        let sequential = SpaceMeter::new(SWEEP_CAP);
+        for &op in per_thread.iter().flatten() {
+            apply_meter_op(&sequential, &mut model, op);
+        }
+        let snap = meter.snapshot();
+        prop_assert_eq!(snap.reads, model.0);
+        prop_assert_eq!(snap.writes, model.1);
+    }
+}
+
 proptest! {
     /// Zero-copy reads under concurrency, epoch backend: `read_with`
     /// closures interleaved with writes must never observe a torn value

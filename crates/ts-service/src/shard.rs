@@ -283,18 +283,19 @@ impl<B: RegisterBackend<u64>> Shard<B> {
 
     /// Collect over the register bank: the largest published word, or
     /// `None` if nothing was published yet. A read-only observation
-    /// pass (`2n` metered reads), lower-bounding the reservation
+    /// pass (`2n` metered reads, recorded as one sweep over the
+    /// `locals ++ epochs` indices), lower-bounding the reservation
     /// frontier [`Shard::word`] — reading each pair epoch-before-local
     /// (see [`Shard::publish`] for why that never over-reports).
     pub(crate) fn collect_max_word(&self) -> Option<u64> {
+        let slots = self.locals.len();
         let mut max = 0;
-        for slot in 0..self.locals.len() {
-            self.meter.record_read(self.locals.len() + slot);
+        for slot in 0..slots {
             let epoch = Register::read(self.epochs.get(slot));
-            self.meter.record_read(slot);
             let local = Register::read(self.locals.get(slot));
             max = max.max((epoch << 32) | local);
         }
+        self.meter.record_sweep(0..2 * slots);
         (max > 0).then_some(max)
     }
 

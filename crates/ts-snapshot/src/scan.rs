@@ -1,5 +1,5 @@
 //! The double-collect scan of Afek et al. (1993), with a
-//! summary-validated fast path and dirty-block adaptive retries.
+//! dirty-word-validated fast path and dirty-block adaptive retries.
 
 use std::error::Error;
 use std::fmt;
@@ -37,7 +37,7 @@ impl Error for ScanInterrupted {}
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ScanOutcome {
     /// Dirty-block retry passes performed (0 = the first collect
-    /// validated, via the summary short-circuit or clean block words).
+    /// validated: every block dirty word was clean across it).
     pub recollect_passes: u64,
     /// Registers re-read and patched across all retry passes — the
     /// O(dirty) work a full-recollect loop would have multiplied by
@@ -57,18 +57,18 @@ pub struct ScanOutcome {
 /// # The ladder, and why each rung is linearizable
 ///
 /// **Rung 1 (quiescent short-circuit).** The initial collect is
-/// bracketed by reads of the global write-summary word; if
-/// [`WriteSummary::no_writes_during`] holds, the array was quiescent
-/// for the whole window and the collect is returned after one value
-/// sweep and two one-word loads.
+/// bracketed by two readings of every block dirty word (one word per
+/// [`BLOCK_REGISTERS`](ts_register::BLOCK_REGISTERS) registers, so a
+/// single word for arrays of up to 64). If every block's pair satisfies
+/// [`WriteSummary::no_writes_during`], no store landed anywhere in the
+/// array during the window and the collect is returned after one value
+/// sweep and two dirty-word sweeps.
 ///
-/// **Rung 2 (dirty-block passes).** Otherwise the scanner keeps, per
-/// block of [`BLOCK_REGISTERS`](ts_register::BLOCK_REGISTERS)
-/// registers, the block dirty word it read *before* the collect, and
-/// re-reads all block words after it. Blocks whose word pair fails
-/// `no_writes_during` are *flagged*; each retry pass re-reads only the
-/// stamps of registers in flagged blocks, patching entries whose stamp
-/// moved, then re-reads the block words to compute the next flag set.
+/// **Rung 2 (dirty-block passes).** Otherwise the blocks whose word
+/// pair fails `no_writes_during` are *flagged*; each retry pass
+/// re-reads only the stamps of registers in flagged blocks (one
+/// metered sweep per block), patching entries whose stamp moved, then
+/// re-reads the block words to compute the next flag set.
 /// The pass windows tile: each pass reuses the previous pass's block
 /// readings as its starting bracket, so no store can fall between
 /// windows undetected.
@@ -108,29 +108,35 @@ where
     /// validation; check [`is_validated`](Self::is_validated) before
     /// stepping.
     pub fn new(array: &'a RegisterArray<T, B>) -> Self {
-        let before_global = array.summary();
-        let before_blocks = array.block_summaries();
+        let window = array.block_summaries();
         let entries = array.collect();
         let mut scanner = Self {
             array,
             entries,
-            window: Vec::new(),
+            window,
             flagged: Vec::new(),
             passes: 0,
             patched: 0,
             validated: false,
         };
-        if WriteSummary::no_writes_during(before_global, array.summary()) {
-            scanner.validated = true; // rung 1: quiescent window
-            return scanner;
-        }
-        scanner.window = scanner.array.block_summaries();
-        scanner.flagged = dirty_blocks(&before_blocks, &scanner.window);
-        // The global word saw traffic but every block window was
-        // clean: the interfering stores fell outside the (slightly
-        // narrower) block windows bracketing the collect.
-        scanner.validated = scanner.flagged.is_empty();
+        // Rung 1: every block was quiescent across the collect.
+        scanner.advance_window();
         scanner
+    }
+
+    /// Re-reads every block word, flags the blocks whose word moved
+    /// since the previous reading (in place: no allocation unless a
+    /// block is dirty), and validates if none did.
+    fn advance_window(&mut self) {
+        self.flagged.clear();
+        for (block, before) in self.window.iter_mut().enumerate() {
+            let after = self.array.block_summary(block);
+            if !WriteSummary::no_writes_during(*before, after) {
+                self.flagged.push(block);
+            }
+            *before = after;
+        }
+        self.validated = self.flagged.is_empty();
     }
 
     /// Whether the current entries form a validated (linearizable)
@@ -139,9 +145,9 @@ where
         self.validated
     }
 
-    /// Runs one dirty-block retry pass (one partial register sweep):
-    /// re-reads stamps in flagged blocks, patches moved entries, then
-    /// advances the block-word window.
+    /// Runs one dirty-block retry pass: one stamp sweep per flagged
+    /// block, patching moved entries, then advances the block-word
+    /// window.
     ///
     /// # Panics
     ///
@@ -150,15 +156,16 @@ where
     pub fn step_pass(&mut self) {
         assert!(!self.validated, "scan already validated");
         self.passes += 1;
+        let array = self.array;
+        let entries = &mut self.entries;
         let mut patched_now = 0u64;
         for &block in &self.flagged {
-            for reg in self.array.block_range(block) {
-                let stamp = self.array.stamp(reg).expect("index in range");
-                if stamp != self.entries[reg].stamp {
-                    self.entries[reg] = self.array.read_stamped(reg).expect("index in range");
+            array.for_each_stamp(array.block_range(block), |reg, stamp| {
+                if stamp != entries[reg].stamp {
+                    entries[reg] = array.read_stamped(reg).expect("index in range");
                     patched_now += 1;
                 }
-            }
+            });
         }
         self.patched += patched_now;
         if patched_now == 0 {
@@ -167,11 +174,9 @@ where
             self.validated = true;
             return;
         }
-        let next = self.array.block_summaries();
-        self.flagged = dirty_blocks(&self.window, &next);
-        self.window = next;
-        // No store overlapped the window the patches were read in.
-        self.validated = self.flagged.is_empty();
+        // Validates if no store overlapped the window the patches were
+        // read in.
+        self.advance_window();
     }
 
     /// Consumes the scanner, returning the validated view.
@@ -185,16 +190,6 @@ where
     }
 }
 
-fn dirty_blocks(before: &[WriteSummary], after: &[WriteSummary]) -> Vec<usize> {
-    before
-        .iter()
-        .zip(after)
-        .enumerate()
-        .filter(|(_, (b, a))| !WriteSummary::no_writes_during(**b, **a))
-        .map(|(i, _)| i)
-        .collect()
-}
-
 /// Repeatedly collects `array` until a collect is validated, and returns
 /// that view.
 ///
@@ -202,14 +197,15 @@ fn dirty_blocks(before: &[WriteSummary], after: &[WriteSummary]) -> Vec<usize> {
 ///
 /// Each round climbs as little of this ladder as contention forces:
 ///
-/// 1. **Summary short-circuit** — read the array's write-summary word,
-///    collect once, re-read the summary. If
-///    [`WriteSummary::no_writes_during`] holds, no register store
-///    executed anywhere in the window: the collect read a quiescent
-///    array and is returned after *one* value sweep and two one-word
-///    loads. This is the common case for quiescent and low-contention
-///    arrays (and on oversubscribed hosts, where interfering writers
-///    are mostly descheduled).
+/// 1. **Dirty-word short-circuit** — read every block dirty word,
+///    collect once, re-read them. If every block's pair satisfies
+///    [`WriteSummary::no_writes_during`], no register store executed
+///    anywhere in the window: the collect read a quiescent array and
+///    is returned after *one* value sweep and two dirty-word sweeps
+///    (one load each for arrays of up to 64 registers). This is the
+///    common case for quiescent and low-contention arrays (and on
+///    oversubscribed hosts, where interfering writers are mostly
+///    descheduled).
 /// 2. **Dirty-block recollect** — otherwise, compare the per-block
 ///    dirty words read before and after the collect and re-read only
 ///    the *stamps* of registers in blocks that moved, patching entries
@@ -325,7 +321,7 @@ where
 /// # Panics
 ///
 /// Panics if `max_collects < 2` (the stamp-validation rung needs two
-/// sweeps; the summary rung can succeed after one, but a budget below
+/// sweeps; the dirty-word rung can succeed after one, but a budget below
 /// two could not guarantee *any* validation under interference).
 pub fn try_scan<T, B>(
     array: &RegisterArray<T, B>,
