@@ -21,16 +21,25 @@
 //! Every pair a call writes is determined by the call alone: an
 //! invalidation write (lines 8 and 11) stores `⟨[id], myrnd⟩` and a
 //! phase-opening write (line 15) stores `⟨seq, myrnd + 1⟩` for the one
-//! `seq` that call builds. So [`BoundedTimestamp`] keeps each admitted
-//! call's `{id, myrnd, seq}` in a write-once *call record*, indexed by
-//! the call's admission number `a`, and its registers are
-//! word-inlined [`PackedRegister`](ts_register::PackedRegister)s holding
-//! only a handle:
+//! `seq` that call builds. So [`BoundedTimestamp`] keeps each call's
+//! `{id, myrnd, seq}` in a write-once *call record* `a`, and its
+//! registers are word-inlined
+//! [`PackedRegister`](ts_register::PackedRegister)s holding only a
+//! handle:
 //!
 //! - `0` is `⊥`;
 //! - `(a + 1) << 1 | opens` names record `a`, with `opens` set for the
 //!   phase-opening write. The named pair is `⟨[id], myrnd⟩` when
 //!   `opens` is clear and `⟨seq, myrnd + 1⟩` when it is set.
+//!
+//! A budgeted object ([`BoundedTimestamp::with_budget`]) indexes records
+//! by admission number, taken from one shared counter. A one-shot
+//! object ([`BoundedTimestamp::one_shot`]) indexes them by pid: process
+//! `p`'s only call owns record `p`, and a flag in that record is the
+//! once-only guard, so a one-shot call touches no shared admission
+//! state. Records are aligned to 64 bytes, one per cache line, so one
+//! call's record writes do not invalidate the line of a record another
+//! call is reading through a register handle.
 //!
 //! A record is filled in before its owner's first (`Release`) register
 //! write and read only after an `Acquire` load of a word naming it —
@@ -40,13 +49,27 @@
 //! long as the object. Since records are told apart by getTS-id at
 //! line 7, ids must be unique per call, as the paper requires.
 //!
+//! # Metering in O(1) updates per call
+//!
+//! The object's [`SpaceMeter`] counts every register read exactly, but a
+//! call does not pay one shared counter update per read. The lines 1–4
+//! prefix walk is one early-stopping sweep
+//! ([`RegisterArray::sweep_while`]), metered as one range. Lines 5–12
+//! read `R[myrnd + 1]` and then `R[j]` once per iteration; they read
+//! without metering and, on whichever of their three exits they take
+//! (line 9, line 12, or falling through to line 13), record the `R[j]`
+//! reads as one sweep over the visited prefix and the repeated
+//! `R[myrnd + 1]` reads as one [`SpaceMeter::record_reads`]. The line-13
+//! scan meters its collects as sweeps too. Per-register counts are the
+//! same as one update per read would give.
+//!
 //! This module also carries the paper's accounting instrumentation
 //! (Section 6.3): phases, invalidation writes, and register usage are
 //! counted so the bounds `Φ < 2√M` (Lemma 6.5) and `≤ 2M` invalidation
 //! writes (Claim 6.13) can be checked against real executions.
 
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use ts_register::{PackedRegisterArray, RegisterArray, SpaceMeter};
@@ -161,7 +184,9 @@ enum Outcome {
     Scanned = 3,
 }
 
-/// The write-once record of one admitted call.
+/// The write-once record of one call: record `a` belongs to the call
+/// admitted `a`-th on a budgeted object, or to process `a` on a
+/// one-shot object.
 ///
 /// `id` and `myrnd` are set before the call's first register write,
 /// `seq` only by a phase-opening call just before its line-15 write;
@@ -170,8 +195,20 @@ enum Outcome {
 /// naming the record, paired with the reader's `Acquire` load of that
 /// word, orders them. `tally` is the call's own accounting, stored
 /// once as it returns and summed by [`BoundedTimestamp::phase_stats`].
+///
+/// Aligned to one 64-byte cache line, so a call's writes to its own
+/// record never invalidate the line of a neighbouring record that
+/// another call reads. One line, not the register arrays' two: two
+/// would double the records' footprint, and the cost of building an
+/// object with it, for no throughput gain.
 #[derive(Debug, Default)]
+#[repr(align(64))]
 struct CallRecord {
+    /// The one-shot guard: set to 1 by the pid's first call, which
+    /// owns the record. Unused on budgeted objects. A word, not an
+    /// `AtomicBool`: with a one-byte field, building and dropping a
+    /// `one_shot(64)` object took about 1.5x as long (x86-64).
+    claimed: AtomicU32,
     /// The getTS-id, packed `pid << 32 | seq`.
     id: AtomicU64,
     /// The round measured at line 4.
@@ -308,11 +345,14 @@ pub struct BoundedTimestamp {
     m: usize,
     budget: usize,
     policy: OverwritePolicy,
+    /// Built with [`BoundedTimestamp::one_shot`]: calls are admitted by
+    /// pid, each pid once, and own the record with their pid's index.
+    one_shot: bool,
+    /// Admission counter of a budgeted object (unused when one-shot).
     invocations: AtomicU64,
-    /// One record per admissible call, indexed by admission number.
+    /// One record per admissible call, indexed by admission number, or
+    /// by pid when one-shot.
     calls: Box<[CallRecord]>,
-    /// One-shot guard, present when built with [`BoundedTimestamp::one_shot`].
-    used: Option<Vec<AtomicBool>>,
     accounting: Accounting,
 }
 
@@ -366,9 +406,9 @@ impl BoundedTimestamp {
             m,
             budget,
             policy,
+            one_shot: false,
             invocations: AtomicU64::new(0),
             calls: (0..budget).map(|_| CallRecord::default()).collect(),
-            used: None,
             accounting: Accounting::new(m),
         }
     }
@@ -391,9 +431,10 @@ impl BoundedTimestamp {
     /// Panics if `processes == 0` or `processes ≥ 2³¹ − 1` (a register
     /// handle holds a 31-bit call index).
     pub fn one_shot_with_policy(processes: usize, policy: OverwritePolicy) -> Self {
-        let mut obj = Self::with_budget_and_policy(processes, policy);
-        obj.used = Some((0..processes).map(|_| AtomicBool::new(false)).collect());
-        obj
+        Self {
+            one_shot: true,
+            ..Self::with_budget_and_policy(processes, policy)
+        }
     }
 
     /// The register budget `m`.
@@ -413,10 +454,20 @@ impl BoundedTimestamp {
 
     /// A snapshot of the phase accounting (Section 6.3 quantities).
     pub fn phase_stats(&self) -> PhaseStats {
-        let calls = self
-            .invocations
-            .load(Ordering::Relaxed)
-            .min(self.budget as u64);
+        let (calls, records) = if self.one_shot {
+            let claimed = self
+                .calls
+                .iter()
+                .filter(|r| r.claimed.load(Ordering::Relaxed) != 0)
+                .count();
+            (claimed as u64, &self.calls[..])
+        } else {
+            let admitted = self
+                .invocations
+                .load(Ordering::Relaxed)
+                .min(self.budget as u64);
+            (admitted, &self.calls[..admitted as usize])
+        };
         let mut stats = PhaseStats {
             m: self.m,
             budget: self.budget,
@@ -429,7 +480,8 @@ impl BoundedTimestamp {
             turn_returns: 0,
             registers_written: self.meter.snapshot().registers_written(),
         };
-        for call in &self.calls[..calls as usize] {
+        // An unclaimed one-shot record's tally is 0: it adds nothing.
+        for call in records {
             let tally = call.tally.load(Ordering::Relaxed);
             let outcome = tally & 3;
             stats.total_writes += u64::from(tally >> 2);
@@ -440,11 +492,20 @@ impl BoundedTimestamp {
         stats
     }
 
-    /// Reads register `R[j]` (paper's 1-based indexing).
+    /// Reads register `R[j]` (paper's 1-based indexing) without
+    /// metering it; see [`BoundedTimestamp::meter_validity_loop`].
     fn read(&self, j: usize) -> u32 {
         self.regs
-            .read(j - 1)
+            .read_unmetered(j - 1)
             .expect("paper register index within the array")
+    }
+
+    /// Meters the register reads of lines 5–12 on their exit, in at
+    /// most three counter updates: one read each of `R[1..=swept]` and
+    /// `line6` reads of `R[myrnd + 1]`.
+    fn meter_validity_loop(&self, myrnd: usize, swept: usize, line6: usize) {
+        self.meter.record_sweep(0..swept);
+        self.meter.record_reads(myrnd, line6 as u64);
     }
 
     /// Writes register `R[j]` (paper's 1-based indexing).
@@ -491,10 +552,18 @@ impl BoundedTimestamp {
     /// Algorithm 4 `getTS(ID)` for an explicit getTS-id, which must be
     /// unique per call.
     ///
+    /// On a one-shot object the call is admitted as process `id.pid`'s
+    /// one call, through the same guard as
+    /// [`get_ts`](OneShotTimestamp::get_ts): records are indexed by pid
+    /// there, so admitting by a shared counter could hand two calls one
+    /// record.
+    ///
     /// # Errors
     ///
-    /// Returns [`GetTsError::BudgetExhausted`] once `M` calls have been
-    /// admitted.
+    /// On a budgeted object, returns [`GetTsError::BudgetExhausted`]
+    /// once `M` calls have been admitted. On a one-shot object, returns
+    /// [`GetTsError::PidOutOfRange`] if `id.pid ≥ n` and
+    /// [`GetTsError::AlreadyUsed`] if `id.pid` already called.
     ///
     /// # Panics
     ///
@@ -502,35 +571,65 @@ impl BoundedTimestamp {
     /// would falsify Lemma 6.5) — this is an internal invariant check,
     /// not an expected failure mode.
     pub fn get_ts_with_id(&self, id: GetTsId) -> Result<Timestamp, GetTsError> {
+        self.get_ts_paused(id, |_| {})
+    }
+
+    /// Admits a call: its record index, or the error that rejects it.
+    fn admit(&self, id: GetTsId) -> Result<usize, GetTsError> {
+        if self.one_shot {
+            return self.claim(id.pid as usize);
+        }
         let admitted = self.invocations.fetch_add(1, Ordering::AcqRel);
         if admitted >= self.budget as u64 {
             return Err(GetTsError::BudgetExhausted {
                 budget: self.budget,
             });
         }
-        Ok(self.get_ts_inner(admitted as usize, id))
+        Ok(admitted as usize)
     }
 
-    fn get_ts_inner(&self, call: usize, id: GetTsId) -> Timestamp {
+    /// Admits one-shot process `pid`'s only call, claiming record `pid`.
+    fn claim(&self, pid: usize) -> Result<usize, GetTsError> {
+        let record = self.calls.get(pid).ok_or(GetTsError::PidOutOfRange {
+            pid,
+            processes: self.budget,
+        })?;
+        if record.claimed.swap(1, Ordering::AcqRel) != 0 {
+            return Err(GetTsError::AlreadyUsed { pid });
+        }
+        Ok(pid)
+    }
+
+    /// [`get_ts_with_id`](Self::get_ts_with_id) with `pause(j)` run
+    /// just before line 6 of iteration `j` (the first one runs between
+    /// lines 4 and 5); tests use it to land other calls there.
+    fn get_ts_paused(
+        &self,
+        id: GetTsId,
+        pause: impl FnMut(usize),
+    ) -> Result<Timestamp, GetTsError> {
+        let call = self.admit(id)?;
+        Ok(self.get_ts_inner(call, id, pause))
+    }
+
+    fn get_ts_inner(&self, call: usize, id: GetTsId, mut pause: impl FnMut(usize)) -> Timestamp {
         let m = self.m;
 
-        // Lines 1–4: find the non-⊥ prefix. Of r[1..myrnd] only
-        // r[myrnd] is consulted again (line 7), so only it is kept.
+        // Lines 1–4: find the non-⊥ prefix, in one sweep metered as one
+        // range. Of r[1..myrnd] only r[myrnd] is consulted again
+        // (line 7), so only it is kept.
         let mut r_last = BOT;
-        let mut j = 1usize;
-        loop {
-            let word = self.read(j);
-            if word == BOT {
-                break;
+        let myrnd = self.regs.sweep_while(0..m, |_, word| {
+            let set = word != BOT;
+            if set {
+                r_last = word;
             }
-            r_last = word;
-            j += 1;
-            assert!(
-                j <= m,
-                "space bound violated: all {m} registers non-⊥ (Lemma 6.5 refuted)"
-            );
-        }
-        let myrnd = j - 1;
+            set
+        });
+        assert!(
+            myrnd < m,
+            "space bound violated: all {m} registers non-⊥ (Lemma 6.5 refuted)"
+        );
 
         // Fill in this call's record before any write can name it.
         let me = &self.calls[call];
@@ -543,10 +642,14 @@ impl BoundedTimestamp {
         let mut writes = 0;
 
         // Lines 5–12: look for the first valid register among R[1..myrnd-1].
+        // Their reads are metered on exit: by line 6 of iteration j they
+        // have read R[myrnd + 1] j times and each of R[1..j-1] once.
         for j in 1..myrnd {
+            pause(j);
             // Line 6: has the next phase opened?
             if self.read(myrnd + 1) != BOT {
                 // Line 12.
+                self.meter_validity_loop(myrnd, j - 1, j);
                 me.settle(writes, Outcome::Early);
                 return Timestamp::new((myrnd + 1) as u64, 0);
             }
@@ -557,6 +660,7 @@ impl BoundedTimestamp {
             if expected.is_some() && self.last(cur) == expected {
                 // Lines 8–9: R[j] is valid — invalidate it, take turn j.
                 self.write(j, invalidation, false);
+                self.meter_validity_loop(myrnd, j, j);
                 me.settle(writes + 1, Outcome::Turn);
                 return Timestamp::new(myrnd as u64, j as u64);
             }
@@ -575,6 +679,8 @@ impl BoundedTimestamp {
                 writes += 1;
             }
         }
+        let iterations = myrnd.saturating_sub(1);
+        self.meter_validity_loop(myrnd, iterations, iterations);
 
         // Line 13: linearizable view via double-collect scan.
         let view = double_collect_scan(&self.regs);
@@ -606,23 +712,16 @@ impl BoundedTimestamp {
 
 impl OneShotTimestamp for BoundedTimestamp {
     fn get_ts(&self, pid: usize) -> Result<Timestamp, GetTsError> {
-        let used = self.used.as_ref().expect(
-            "get_ts(pid) requires a one-shot object; use get_ts_with_id on budgeted objects",
+        assert!(
+            self.one_shot,
+            "get_ts(pid) requires a one-shot object; use get_ts_with_id on budgeted objects"
         );
-        if pid >= used.len() {
-            return Err(GetTsError::PidOutOfRange {
-                pid,
-                processes: used.len(),
-            });
-        }
-        if used[pid].swap(true, Ordering::AcqRel) {
-            return Err(GetTsError::AlreadyUsed { pid });
-        }
-        self.get_ts_with_id(GetTsId::one_shot(pid as u32))
+        let call = self.claim(pid)?;
+        Ok(self.get_ts_inner(call, GetTsId::one_shot(call as u32), |_| {}))
     }
 
     fn processes(&self) -> usize {
-        self.used.as_ref().map_or(self.budget, Vec::len)
+        self.budget
     }
 
     fn registers(&self) -> usize {
@@ -826,6 +925,219 @@ mod tests {
         assert_eq!(ts.seq_get(r2, 3), None);
         assert_eq!(ts.last(BOT), None);
         assert_eq!(ts.rnd(BOT), None);
+    }
+
+    /// Per-register meter counts of sequential runs, as one counter
+    /// update per register read gives them: `(n, reads, writes)`.
+    const SEQUENTIAL_METER: [(usize, &[u64], &[u64]); 5] = [
+        (4, &[9, 6, 7, 3], &[2, 1, 1, 0]),
+        (
+            16,
+            &[36, 30, 27, 25, 24, 25, 6, 6],
+            &[5, 4, 3, 2, 1, 1, 0, 0],
+        ),
+        (
+            64,
+            &[
+                137, 125, 116, 108, 101, 95, 90, 86, 83, 82, 83, 55, 11, 11, 11, 11,
+            ],
+            &[11, 10, 9, 8, 7, 6, 5, 4, 2, 1, 1, 0, 0, 0, 0, 0],
+        ),
+        (
+            100,
+            &[
+                212, 197, 185, 174, 164, 155, 147, 140, 134, 130, 127, 125, 124, 125, 58, 14, 14,
+                14, 14, 14,
+            ],
+            &[
+                14, 13, 12, 11, 10, 9, 8, 7, 5, 4, 3, 2, 1, 1, 0, 0, 0, 0, 0, 0,
+            ],
+        ),
+        (
+            256,
+            &[
+                533, 509, 488, 469, 451, 434, 418, 403, 389, 376, 364, 353, 343, 334, 326, 319,
+                313, 308, 304, 301, 299, 298, 299, 28, 23, 23, 23, 23, 23, 23, 23, 23,
+            ],
+            &[
+                23, 22, 20, 19, 18, 17, 16, 15, 14, 13, 12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 1,
+                0, 0, 0, 0, 0, 0, 0, 0, 0,
+            ],
+        ),
+    ];
+
+    #[test]
+    fn sequential_meter_counts_are_per_read_exact() {
+        for (n, reads, writes) in SEQUENTIAL_METER {
+            let one_shot = BoundedTimestamp::one_shot(n);
+            for p in 0..n {
+                one_shot.get_ts(p).unwrap();
+            }
+            let budgeted = BoundedTimestamp::with_budget(n);
+            for k in 0..n as u32 {
+                budgeted.get_ts_with_id(GetTsId::new(0, k)).unwrap();
+            }
+            for ts in [&one_shot, &budgeted] {
+                let snap = ts.meter().snapshot();
+                assert_eq!(snap.reads, reads, "n={n}");
+                assert_eq!(snap.writes, writes, "n={n}");
+            }
+        }
+    }
+
+    /// Runs calls `ids` one after another on `ts`, asserting each succeeds.
+    fn run(ts: &BoundedTimestamp, ids: impl IntoIterator<Item = u32>) {
+        for k in ids {
+            ts.get_ts_with_id(GetTsId::new(k, 0)).unwrap();
+        }
+    }
+
+    #[test]
+    fn line_12_exit_meters_per_read_exact() {
+        // Paused at iteration 1 (between lines 4 and 5) with myrnd = 2,
+        // the call sees two more calls open phase 3 and returns at
+        // line 12 having read R[3] once at line 6 and no R[j].
+        let ts = BoundedTimestamp::with_budget(10);
+        run(&ts, 0..2);
+        let t = ts
+            .get_ts_paused(GetTsId::new(2, 0), |j| {
+                if j == 1 {
+                    run(&ts, 3..5);
+                }
+            })
+            .unwrap();
+        assert_eq!(t, Timestamp::new(3, 0));
+        let snap = ts.meter().snapshot();
+        assert_eq!(snap.reads, [10, 7, 9, 3, 3, 3, 3]);
+        assert_eq!(snap.writes, [2, 1, 1, 0, 0, 0, 0]);
+        assert_eq!(ts.phase_stats().early_returns, 1);
+
+        // Paused at iteration 2 with myrnd = 3: it has read R[4] once
+        // and found R[1] invalid; two more calls open phase 4, so the
+        // exit meters R[1] once and R[4] twice.
+        let ts = BoundedTimestamp::with_budget(20);
+        run(&ts, 0..5);
+        let t = ts
+            .get_ts_paused(GetTsId::new(5, 0), |j| {
+                if j == 2 {
+                    run(&ts, 6..8);
+                }
+            })
+            .unwrap();
+        assert_eq!(t, Timestamp::new(4, 0));
+        let snap = ts.meter().snapshot();
+        assert_eq!(snap.reads, [18, 13, 12, 15, 4, 4, 4, 4, 4]);
+        assert_eq!(snap.writes, [3, 2, 1, 1, 0, 0, 0, 0, 0]);
+        let stats = ts.phase_stats();
+        assert_eq!((stats.early_returns, stats.turn_returns), (1, 3));
+    }
+
+    /// Checks that `calls` counts `accepted` and each call has one outcome.
+    fn assert_accounted(ts: &BoundedTimestamp, accepted: u64) {
+        let stats = ts.phase_stats();
+        assert_eq!(stats.calls, accepted, "{stats:?}");
+        assert_eq!(
+            stats.scans + stats.turn_returns + stats.early_returns,
+            accepted,
+            "{stats:?}"
+        );
+    }
+
+    #[test]
+    fn one_shot_stats_count_accepted_calls() {
+        let ts = BoundedTimestamp::one_shot(16);
+        for p in (0..16).step_by(3) {
+            ts.get_ts(p).unwrap();
+        }
+        assert_accounted(&ts, 6);
+        assert_eq!(ts.get_ts(3), Err(GetTsError::AlreadyUsed { pid: 3 }));
+        assert_eq!(
+            ts.get_ts(16),
+            Err(GetTsError::PidOutOfRange {
+                pid: 16,
+                processes: 16
+            })
+        );
+        assert_accounted(&ts, 6);
+
+        let ts = BoundedTimestamp::one_shot(64);
+        let accepted: u64 = crossbeam::scope(|s| {
+            let workers: Vec<_> = (0..2)
+                .map(|t| {
+                    let ts = &ts;
+                    s.spawn(move |_| {
+                        // Thread t calls its 32 pids, then repeats one
+                        // and tries one past the end.
+                        let mut accepted = 0;
+                        for p in t * 32..t * 32 + 32 {
+                            ts.get_ts(p).unwrap();
+                            accepted += 1;
+                        }
+                        assert_eq!(
+                            ts.get_ts(t * 32),
+                            Err(GetTsError::AlreadyUsed { pid: t * 32 })
+                        );
+                        assert!(matches!(
+                            ts.get_ts(64 + t),
+                            Err(GetTsError::PidOutOfRange { processes: 64, .. })
+                        ));
+                        accepted
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).sum()
+        })
+        .unwrap();
+        assert_accounted(&ts, accepted);
+        assert_eq!(accepted, 64);
+    }
+
+    #[test]
+    fn get_ts_with_id_on_one_shot_goes_through_the_pid_guard() {
+        let ts = BoundedTimestamp::one_shot(6);
+        let mut stamps = vec![ts.get_ts_with_id(GetTsId::new(3, 7)).unwrap()];
+        assert_eq!(ts.get_ts(3), Err(GetTsError::AlreadyUsed { pid: 3 }));
+        stamps.push(ts.get_ts(0).unwrap());
+        assert_eq!(
+            ts.get_ts_with_id(GetTsId::new(0, 1)),
+            Err(GetTsError::AlreadyUsed { pid: 0 })
+        );
+        assert_eq!(
+            ts.get_ts_with_id(GetTsId::new(6, 0)),
+            Err(GetTsError::PidOutOfRange {
+                pid: 6,
+                processes: 6
+            })
+        );
+        stamps.push(ts.get_ts_with_id(GetTsId::new(5, 2)).unwrap());
+        stamps.push(ts.get_ts(1).unwrap());
+        for pair in stamps.windows(2) {
+            assert!(Timestamp::compare(&pair[0], &pair[1]), "{pair:?}");
+        }
+        assert_accounted(&ts, 4);
+        // Each accepted call filled in its own pid's record, and only it.
+        let ids: Vec<Option<GetTsId>> = ts
+            .calls
+            .iter()
+            .map(|r| (r.claimed.load(Ordering::Relaxed) != 0).then(|| r.id()))
+            .collect();
+        assert_eq!(
+            ids,
+            [
+                Some(GetTsId::new(0, 0)),
+                Some(GetTsId::new(1, 0)),
+                None,
+                Some(GetTsId::new(3, 7)),
+                None,
+                Some(GetTsId::new(5, 2)),
+            ]
+        );
+    }
+
+    #[test]
+    fn call_records_are_cache_line_aligned() {
+        assert_eq!(std::mem::align_of::<CallRecord>(), 64);
+        assert_eq!(std::mem::size_of::<CallRecord>(), 64);
     }
 
     #[test]

@@ -465,6 +465,22 @@ impl<T: Clone + Send + Sync, B: RegisterBackend<T>> RegisterArray<T, B> {
         Ok(self.read_stamped(index)?.value)
     }
 
+    /// Reads register `index` without recording the read on the meter.
+    ///
+    /// For a caller that meters a run of its own reads in O(1) counter
+    /// updates — a [`SpaceMeter::record_sweep`] for a prefix read once,
+    /// a [`SpaceMeter::record_reads`] for one register read `n` times —
+    /// instead of one shared update per read. The caller owns keeping
+    /// the counts exact.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CapacityError`] if `index` is out of range.
+    pub fn read_unmetered(&self, index: usize) -> Result<T, CapacityError> {
+        self.check(index)?;
+        Ok(self.registers.get(index).read())
+    }
+
     /// Reads register `index` together with its write stamp.
     ///
     /// # Errors
@@ -526,15 +542,23 @@ impl<T: Clone + Send + Sync, B: RegisterBackend<T>> RegisterArray<T, B> {
         Ok(())
     }
 
-    /// Visits every register of `range` in index order, then records
-    /// the pass as one sweep on the meter.
-    fn sweep(&self, range: Range<usize>, mut visit: impl FnMut(usize, &B::Reg)) {
-        for index in range.clone() {
-            visit(index, self.registers.get(index));
-        }
+    /// Visits the registers of `range` in index order until `visit`
+    /// returns `false`, then records the visited prefix as one sweep on
+    /// the meter. Returns the index `visit` stopped at, or `range.end`.
+    fn sweep(&self, range: Range<usize>, mut visit: impl FnMut(usize, &B::Reg) -> bool) -> usize {
+        assert!(
+            range.end <= self.capacity(),
+            "sweep {range:?} out of array capacity {}",
+            self.capacity()
+        );
+        let stop = range
+            .clone()
+            .find(|&index| !visit(index, self.registers.get(index)))
+            .unwrap_or(range.end);
         if let Some(meter) = &self.meter {
-            meter.record_sweep(range);
+            meter.record_sweep(range.start..range.end.min(stop + 1));
         }
+        stop
     }
 
     /// Reads every register once, in index order, returning the observed
@@ -549,7 +573,10 @@ impl<T: Clone + Send + Sync, B: RegisterBackend<T>> RegisterArray<T, B> {
     /// Metered as one sweep over the whole array.
     pub fn collect(&self) -> Vec<Stamped<T>> {
         let mut view = Vec::with_capacity(self.capacity());
-        self.sweep(0..self.capacity(), |_, reg| view.push(reg.read_stamped()));
+        self.sweep(0..self.capacity(), |_, reg| {
+            view.push(reg.read_stamped());
+            true
+        });
         view
     }
 
@@ -572,7 +599,10 @@ impl<T: Clone + Send + Sync, B: RegisterBackend<T>> RegisterArray<T, B> {
     ///
     /// Panics if `range.end > capacity()`.
     pub fn for_each_stamp(&self, range: Range<usize>, mut f: impl FnMut(usize, Stamp)) {
-        self.sweep(range, |index, reg| f(index, reg.stamp()));
+        self.sweep(range, |index, reg| {
+            f(index, reg.stamp());
+            true
+        });
     }
 
     /// Reads the value of every register in `range`, in index order,
@@ -593,7 +623,21 @@ impl<T: Clone + Send + Sync, B: RegisterBackend<T>> RegisterArray<T, B> {
         self.sweep(range, |index, reg| {
             before_read();
             f(index, reg.read());
+            true
         });
+    }
+
+    /// Reads the registers of `range` in index order, passing
+    /// `(index, value)` to `f` until `f` returns `false`, and returns
+    /// the index it stopped at (`range.end` if it never did) — an
+    /// early-stopping [`for_each_value`](Self::for_each_value). Metered
+    /// as one sweep over the registers it read, `range.start..=stop`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `range.end > capacity()`.
+    pub fn sweep_while(&self, range: Range<usize>, mut f: impl FnMut(usize, T) -> bool) -> usize {
+        self.sweep(range, |index, reg| f(index, reg.read()))
     }
 }
 
@@ -864,6 +908,35 @@ mod tests {
             .map(|i| 2 + u64::from(i >= 128) + u64::from((64..66).contains(&i)))
             .collect();
         assert_eq!(reads, expected);
+    }
+
+    #[test]
+    fn sweep_while_meters_the_visited_prefix() {
+        let meter = SpaceMeter::new(6);
+        let array: PackedRegisterArray<u32> =
+            RegisterArray::with_backend_and_meter(6, 0, meter.clone());
+        for i in 0..3 {
+            array.write(i, 7).unwrap();
+        }
+        let mut seen = Vec::new();
+        let stop = array.sweep_while(0..6, |i, v| {
+            seen.push(i);
+            v != 0
+        });
+        assert_eq!((stop, seen), (3, vec![0, 1, 2, 3]));
+        assert_eq!(array.sweep_while(0..6, |_, _| true), 6);
+        assert_eq!(array.sweep_while(2..6, |_, _| false), 2);
+        assert_eq!(array.sweep_while(4..4, |_, _| false), 4);
+        assert_eq!(array.read_unmetered(5).unwrap(), 0);
+        assert!(array.read_unmetered(6).is_err());
+        assert_eq!(meter.snapshot().reads, vec![2, 2, 3, 2, 1, 1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of array capacity")]
+    fn sweep_while_past_capacity_panics() {
+        let array: PackedRegisterArray<u32> = RegisterArray::new_packed(2, 0);
+        array.sweep_while(0..3, |_, _| false);
     }
 
     #[test]

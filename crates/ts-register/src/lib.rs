@@ -73,7 +73,7 @@ pub use array::{
 pub use atomic::AtomicRegister;
 pub use backend::{BackendRegister, EpochBackend, PackedBackend, RegisterBackend};
 pub use error::CapacityError;
-pub use meter::{MeterSnapshot, MeteredRegister, SpaceMeter};
+pub use meter::{MeterSnapshot, SpaceMeter};
 pub use packed::{Packable, PackedRegister};
 pub use pad::CachePadded;
 pub use stamped::{Stamp, Stamped, StampedRegister};

@@ -11,16 +11,15 @@
 //! recorded as **one** [`SpaceMeter::record_sweep`] instead of one
 //! counter bump per register: the sweep adds +1 at the range start and
 //! −1 at its end in a difference array, and [`SpaceMeter::snapshot`]
-//! folds the prefix sum back into per-register read counts. The public
-//! counts stay exact; only the bookkeeping cost per sweep drops from
-//! `len` shared RMWs to at most two.
+//! folds the prefix sum back into per-register read counts. `n` reads
+//! of one register are likewise one [`SpaceMeter::record_reads`]. The
+//! public counts stay exact; only the bookkeeping cost per pass drops
+//! from one shared RMW per read to at most two.
 
 use std::fmt;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-use crate::traits::Register;
 
 #[derive(Debug, Default)]
 struct Counters {
@@ -34,24 +33,25 @@ struct Counters {
 
 /// Shared recorder of per-register read/write counts.
 ///
-/// Clone the meter (cheap; internally `Arc`) and attach it to registers
-/// via [`SpaceMeter::wrap`] or record manually with
-/// [`SpaceMeter::record_read`] / [`SpaceMeter::record_write`], or
+/// Clone the meter (cheap; internally `Arc`) and attach it to a
+/// [`RegisterArray`](crate::RegisterArray), or record manually with
+/// [`SpaceMeter::record_read`] / [`SpaceMeter::record_write`],
+/// [`SpaceMeter::record_reads`] for repeated reads of one register, or
 /// [`SpaceMeter::record_sweep`] for one read of every register in a
 /// range.
 ///
 /// # Example
 ///
 /// ```
-/// use ts_register::{AtomicRegister, Register, SpaceMeter};
+/// use ts_register::SpaceMeter;
 ///
 /// let meter = SpaceMeter::new(4);
-/// let reg = meter.wrap(1, AtomicRegister::new(0u64));
-/// reg.write(9);
-/// reg.read();
+/// meter.record_write(1);
+/// meter.record_read(1);
+/// meter.record_sweep(0..3);
 /// let snap = meter.snapshot();
 /// assert_eq!(snap.registers_written(), 1);
-/// assert_eq!(snap.reads[1], 1);
+/// assert_eq!(snap.reads, vec![1, 2, 1, 0]);
 /// ```
 #[derive(Clone)]
 pub struct SpaceMeter {
@@ -79,7 +79,21 @@ impl SpaceMeter {
     ///
     /// Panics if `index >= capacity`.
     pub fn record_read(&self, index: usize) {
-        self.counters[index].reads.fetch_add(1, Ordering::Relaxed);
+        self.record_reads(index, 1);
+    }
+
+    /// Records `n` reads of register `index` with one counter update —
+    /// a loop that re-reads one register, metered once on exit. `n == 0`
+    /// records nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index >= capacity`.
+    pub fn record_reads(&self, index: usize, n: u64) {
+        let counters = &self.counters[index];
+        if n > 0 {
+            counters.reads.fetch_add(n, Ordering::Relaxed);
+        }
     }
 
     /// Records one read of every register in `range` — a collect or a
@@ -113,21 +127,6 @@ impl SpaceMeter {
     /// Panics if `index >= capacity`.
     pub fn record_write(&self, index: usize) {
         self.counters[index].writes.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Wraps `register` so that all operations on it are recorded under
-    /// `index`.
-    pub fn wrap<T, R: Register<T>>(&self, index: usize, register: R) -> MeteredRegister<R> {
-        assert!(
-            index < self.capacity(),
-            "register index {index} out of meter capacity {}",
-            self.capacity()
-        );
-        MeteredRegister {
-            inner: register,
-            meter: self.clone(),
-            index,
-        }
     }
 
     /// Takes a consistent-enough snapshot of the counters.
@@ -210,42 +209,9 @@ impl MeterSnapshot {
     }
 }
 
-/// A register wrapper that records its operations in a [`SpaceMeter`].
-#[derive(Debug)]
-pub struct MeteredRegister<R> {
-    inner: R,
-    meter: SpaceMeter,
-    index: usize,
-}
-
-impl<R> MeteredRegister<R> {
-    /// The index under which this register reports.
-    pub fn index(&self) -> usize {
-        self.index
-    }
-
-    /// Unwraps the underlying register.
-    pub fn into_inner(self) -> R {
-        self.inner
-    }
-}
-
-impl<T, R: Register<T>> Register<T> for MeteredRegister<R> {
-    fn read(&self) -> T {
-        self.meter.record_read(self.index);
-        self.inner.read()
-    }
-
-    fn write(&self, value: T) {
-        self.meter.record_write(self.index);
-        self.inner.write(value)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::atomic::AtomicRegister;
 
     #[test]
     fn empty_meter_snapshot_is_zero() {
@@ -259,11 +225,9 @@ mod tests {
     #[test]
     fn reads_and_writes_are_counted_separately() {
         let meter = SpaceMeter::new(2);
-        let r0 = meter.wrap(0, AtomicRegister::new(0u64));
-        let r1 = meter.wrap(1, AtomicRegister::new(0u64));
-        r0.read();
-        r0.read();
-        r1.write(1);
+        meter.record_read(0);
+        meter.record_read(0);
+        meter.record_write(1);
         let snap = meter.snapshot();
         assert_eq!(snap.reads, vec![2, 0]);
         assert_eq!(snap.writes, vec![0, 1]);
@@ -275,24 +239,16 @@ mod tests {
     }
 
     #[test]
+    fn repeated_reads_are_one_update() {
+        let meter = SpaceMeter::new(2);
+        meter.record_reads(1, 3);
+        meter.record_reads(0, 0);
+        assert_eq!(meter.snapshot().reads, vec![0, 3]);
+    }
+
+    #[test]
     #[should_panic(expected = "out of meter capacity")]
     fn sweep_past_capacity_panics() {
         SpaceMeter::new(2).record_sweep(1..3);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of meter capacity")]
-    fn wrapping_out_of_capacity_panics() {
-        let meter = SpaceMeter::new(1);
-        let _ = meter.wrap(1, AtomicRegister::new(0u64));
-    }
-
-    #[test]
-    fn metered_register_reports_index_and_unwraps() {
-        let meter = SpaceMeter::new(1);
-        let reg = meter.wrap(0, AtomicRegister::new(5u64));
-        assert_eq!(reg.index(), 0);
-        let inner = reg.into_inner();
-        assert_eq!(inner.read(), 5);
     }
 }

@@ -91,7 +91,8 @@ const SWEEP_CAP: usize = 8;
 /// Applies one decoded meter op to `meter` and to the naive per-read
 /// model `(reads, writes)`: kinds 0/1 are a single read/write of `a`,
 /// 2 a partial sweep between `a` and `b` (empty when they are equal),
-/// 3 a full sweep and 4 the tail sweep from `a`.
+/// 3 a full sweep, 4 the tail sweep from `a` and 5 `b` reads of `a`
+/// recorded at once.
 fn apply_meter_op(
     meter: &SpaceMeter,
     model: &mut (Vec<u64>, Vec<u64>),
@@ -108,6 +109,11 @@ fn apply_meter_op(
             model.1[a % SWEEP_CAP] += 1;
             return;
         }
+        5 => {
+            meter.record_reads(a % SWEEP_CAP, b as u64);
+            model.0[a % SWEEP_CAP] += b as u64;
+            return;
+        }
         2 => a.min(b)..a.max(b),
         3 => 0..SWEEP_CAP,
         _ => a..SWEEP_CAP,
@@ -119,7 +125,7 @@ fn apply_meter_op(
 }
 
 fn meter_op() -> impl Strategy<Value = (u8, usize, usize)> {
-    (0u8..5, 0usize..SWEEP_CAP + 1, 0usize..SWEEP_CAP + 1)
+    (0u8..6, 0usize..SWEEP_CAP + 1, 0usize..SWEEP_CAP + 1)
 }
 
 proptest! {
