@@ -10,8 +10,9 @@
 //! # Cell protocol
 //!
 //! Each [`PubCell`] is a `(req, resp)` pair of atomics owned by one
-//! slot lease at a time (the [`SlotPool`](crate::pool::SlotPool)
-//! serializes publishers per cell):
+//! slot lease at a time. The cells live in the
+//! [`SlotPool`](crate::pool::SlotPool)'s per-slot cells, which
+//! serialize publishers per cell:
 //!
 //! 1. *Publish* — the peer stores `resp = 0` (`Relaxed`; it owns the
 //!    cell) then `req = k` (`Release`). A combiner that later reads
@@ -32,9 +33,8 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// One slot's publication cell. Padded by the caller (the array wraps
-/// each cell in `CachePadded` so peers spinning on their own `resp`
-/// never bounce a neighbour's line).
+/// One slot's publication cell. Padded by its pool cell, so peers
+/// spinning on their own `resp` never bounce a neighbour's line.
 #[derive(Debug, Default)]
 pub(crate) struct PubCell {
     /// Pending request size (`0` = none). Written by the slot's lease

@@ -9,7 +9,7 @@ use ts_register::{PackedBackend, RegisterBackend, SpaceMeter};
 
 use crate::batch::ShardBatch;
 use crate::session::ClientSession;
-use crate::shard::{Pass, Shard};
+use crate::shard::Shard;
 use crate::ServiceConfig;
 
 /// A long-lived timestamp *service* over `S` independent shard domains.
@@ -48,12 +48,6 @@ pub struct ShardedCollectMax<B: RegisterBackend<u64> = PackedBackend> {
     shards: Vec<Shard<B>>,
     config: ServiceConfig,
     vpids: VpidAllocator,
-    calls: AtomicU64,
-    fast_hits: AtomicU64,
-    batches: AtomicU64,
-    batched_stamps: AtomicU64,
-    combined_ops: AtomicU64,
-    combine_passes: AtomicU64,
     scan_recollects: AtomicU64,
 }
 
@@ -76,12 +70,6 @@ impl<B: RegisterBackend<u64>> ShardedCollectMax<B> {
                 .collect(),
             config,
             vpids: VpidAllocator::new(),
-            calls: AtomicU64::new(0),
-            fast_hits: AtomicU64::new(0),
-            batches: AtomicU64::new(0),
-            batched_stamps: AtomicU64::new(0),
-            combined_ops: AtomicU64::new(0),
-            combine_passes: AtomicU64::new(0),
             scan_recollects: AtomicU64::new(0),
         }
     }
@@ -208,22 +196,30 @@ impl<B: RegisterBackend<u64>> ShardedCollectMax<B> {
         self.shards[shard].meter()
     }
 
-    /// Snapshot of the unified hot-path counters.
+    /// Snapshot of the unified hot-path counters: the sum of every
+    /// slot's tally (exact once the issuing threads are joined).
     pub fn stats(&self) -> ServiceStats {
-        let shard_stamps: Vec<u64> = self.shards.iter().map(Shard::stamps).collect();
-        ServiceStats {
-            calls: self.calls.load(Ordering::Relaxed),
-            stamps: shard_stamps.iter().sum(),
-            fast_hits: self.fast_hits.load(Ordering::Relaxed),
-            batches: self.batches.load(Ordering::Relaxed),
-            batched_stamps: self.batched_stamps.load(Ordering::Relaxed),
-            combined_ops: self.combined_ops.load(Ordering::Relaxed),
-            combine_passes: self.combine_passes.load(Ordering::Relaxed),
+        let mut stats = ServiceStats {
             lease_waits: self.shards.iter().map(|s| s.pool.waits()).sum(),
-            shard_stamps,
             dirty_recollects: self.scan_recollects.load(Ordering::Relaxed),
             ..Default::default()
+        };
+        for shard in &self.shards {
+            let mut stamps = 0;
+            for t in shard.pool.cells.iter().map(|cell| &cell.tally) {
+                let get = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+                stats.calls += get(&t.calls);
+                stats.fast_hits += get(&t.fast_hits);
+                stats.batches += get(&t.batches);
+                stats.batched_stamps += get(&t.batched_stamps);
+                stats.combined_ops += get(&t.combined_ops);
+                stats.combine_passes += get(&t.combine_passes);
+                stamps += get(&t.stamps);
+            }
+            stats.stamps += stamps;
+            stats.shard_stamps.push(stamps);
         }
+        stats
     }
 
     /// Issues `k` stamps on `shard` above `floor` (a packed word, `0`
@@ -236,15 +232,6 @@ impl<B: RegisterBackend<u64>> ShardedCollectMax<B> {
         let lease = sh.pool.lease();
         let res = sh.get_batch(lease.slot(), floor, u64::from(k));
         drop(lease);
-        self.calls.fetch_add(1, Ordering::Relaxed);
-        if res.fast {
-            self.fast_hits.fetch_add(1, Ordering::Relaxed);
-        }
-        if k > 1 {
-            self.batches.fetch_add(1, Ordering::Relaxed);
-            self.batched_stamps
-                .fetch_add(u64::from(k), Ordering::Relaxed);
-        }
         ShardBatch::new(res.first, res.last, shard as u32)
     }
 
@@ -254,17 +241,9 @@ impl<B: RegisterBackend<u64>> ShardedCollectMax<B> {
         assert!(k >= 1, "request size must be at least 1");
         let sh = &self.shards[shard];
         let lease = sh.pool.lease();
-        let grant = sh.get_combined(lease.slot(), floor, u64::from(k));
+        let (first, last) = sh.get_combined(lease.slot(), floor, u64::from(k));
         drop(lease);
-        self.calls.fetch_add(1, Ordering::Relaxed);
-        if let Some(Pass { served, fast }) = grant.pass {
-            self.combine_passes.fetch_add(1, Ordering::Relaxed);
-            self.combined_ops.fetch_add(served, Ordering::Relaxed);
-            if fast {
-                self.fast_hits.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        ShardBatch::new(grant.first, grant.last, shard as u32)
+        ShardBatch::new(first, last, shard as u32)
     }
 }
 
@@ -274,7 +253,7 @@ impl<B: RegisterBackend<u64>> fmt::Debug for ShardedCollectMax<B> {
             .field("backend", &B::NAME)
             .field("config", &self.config)
             .field("sessions", &self.vpids.issued())
-            .field("calls", &self.calls.load(Ordering::Relaxed))
+            .field("calls", &self.stats().calls)
             .finish_non_exhaustive()
     }
 }
@@ -310,6 +289,34 @@ mod tests {
         // Shard 1 published local 4 — the global max.
         let max = service.read_max().expect("stamps were published");
         assert_eq!((max.local, max.shard), (4, 1));
+    }
+
+    #[test]
+    fn shard_stamps_follow_migrating_sessions() {
+        let service = ShardedCollectMax::new(ServiceConfig::new(3, 2));
+        let mut sessions: Vec<_> = (0..4).map(|_| service.session()).collect();
+        let mut issued = vec![0u64; 3];
+        for round in 0..6 {
+            for (j, s) in sessions.iter_mut().enumerate() {
+                s.migrate((round + j) % 3);
+                let stamps: Vec<_> = if j % 2 == 0 {
+                    vec![s.get_ts(), s.get_ts_combined()]
+                } else {
+                    s.get_ts_batch(1 + j as u32).collect()
+                };
+                for t in stamps {
+                    issued[t.shard as usize] += 1;
+                }
+            }
+        }
+        let stats = service.stats();
+        assert_eq!(stats.shard_stamps, issued);
+        assert_eq!(stats.stamps, issued.iter().sum::<u64>());
+        // Per 6 rounds: sessions 0 and 2 make 2 calls, 1 and 3 one batch.
+        assert_eq!(stats.calls, 6 * 6);
+        assert_eq!((stats.batches, stats.batched_stamps), (12, 6 * (2 + 4)));
+        assert_eq!((stats.combined_ops, stats.combine_passes), (12, 12));
+        assert_eq!(stats.fast_hits, stats.calls, "uncontended = all fast");
     }
 
     #[test]

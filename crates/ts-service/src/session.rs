@@ -97,7 +97,7 @@ impl<'a, B: RegisterBackend<u64>> ClientSession<'a, B> {
     pub fn get_ts_batch(&mut self, k: u32) -> ShardBatch {
         let batch = self.service.issue_batch(self.shard, self.floor(), k);
         self.advance_floor(&batch);
-        batch.clone()
+        batch
     }
 
     /// Issues one stamp through the shard's flat-combining publication

@@ -1,5 +1,6 @@
 //! One shard domain: a packed `(epoch, local)` reservation word, a bank
-//! of single-writer registers, a slot pool and a combining array.
+//! of single-writer registers, and a slot pool whose per-slot cells hold
+//! the combining array.
 //!
 //! # The reservation word
 //!
@@ -30,8 +31,8 @@ use ts_register::{
     ArrayLayout, BackendRegister, CachePadded, Register, RegisterBackend, Slots, SpaceMeter,
 };
 
-use crate::combining::{backoff, PubCell};
-use crate::pool::SlotPool;
+use crate::combining::backoff;
+use crate::pool::{add, SlotPool};
 
 /// Largest value of the packed word's `local` half.
 const LOCAL_MAX: u64 = u32::MAX as u64;
@@ -62,27 +63,9 @@ pub(crate) struct Reservation {
     pub(crate) fast: bool,
 }
 
-/// What a combining call produced: the granted range, plus pass
-/// accounting if *this* caller became the combiner (`served` requests
-/// drained — including its own — and whether the pass's one reservation
-/// CAS hit on the first attempt).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct CombinedGrant {
-    pub(crate) first: u64,
-    pub(crate) last: u64,
-    pub(crate) pass: Option<Pass>,
-}
-
-/// Accounting for one combiner pass.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Pass {
-    pub(crate) served: u64,
-    pub(crate) fast: bool,
-}
-
 /// One shard domain. See the module docs for the word protocol; the
-/// register bank, slot pool and publication array are all sized to the
-/// same `slots_per_shard`.
+/// register bank and slot pool are both sized to the same
+/// `slots_per_shard`.
 pub(crate) struct Shard<B: RegisterBackend<u64>> {
     /// The packed `(epoch, local)` reservation word. Padded: this is
     /// the shard's contention point and must not share a line with any
@@ -98,15 +81,11 @@ pub(crate) struct Shard<B: RegisterBackend<u64>> {
     /// Single-writer `epoch` registers, paired with `locals`.
     epochs: Slots<B::Reg>,
     meter: SpaceMeter,
-    /// Slot leases (also gate the publication cells: cell `i` is owned
-    /// by the lease of slot `i`).
+    /// Slot leases. Slot `i`'s cell also holds its flat-combining
+    /// publication cell and call tally, both owned by the lease.
     pub(crate) pool: SlotPool,
-    /// Flat-combining publication cells, one per slot.
-    pubs: Vec<CachePadded<PubCell>>,
     /// The combiner try-lock.
     combiner: CachePadded<AtomicBool>,
-    /// Stamps issued by this shard (the imbalance signal).
-    stamps: CachePadded<AtomicU64>,
 }
 
 impl<B: RegisterBackend<u64>> Shard<B> {
@@ -120,11 +99,7 @@ impl<B: RegisterBackend<u64>> Shard<B> {
             // slot` for its epoch partner.
             meter: SpaceMeter::new(2 * slots),
             pool: SlotPool::new(slots),
-            pubs: (0..slots)
-                .map(|_| CachePadded::new(PubCell::default()))
-                .collect(),
             combiner: CachePadded::new(AtomicBool::new(false)),
-            stamps: CachePadded::new(AtomicU64::new(0)),
         }
     }
 
@@ -202,30 +177,38 @@ impl<B: RegisterBackend<u64>> Shard<B> {
         }
     }
 
-    /// Reserves `k` stamps above `floor` and publishes the range's top
-    /// to the leased slot's register.
+    /// Reserves `k` stamps above `floor`, publishes the range's top to
+    /// the leased slot's register and counts the call in its tally.
     pub(crate) fn get_batch(&self, slot: usize, floor: u64, k: u64) -> Reservation {
         let res = self.reserve(floor, k);
         self.publish(slot, res.last);
-        self.stamps.fetch_add(k, Ordering::Relaxed);
+        let t = &self.pool.cells[slot].tally;
+        add(&t.calls, 1);
+        add(&t.fast_hits, u64::from(res.fast));
+        add(&t.stamps, k);
+        if k > 1 {
+            add(&t.batches, 1);
+            add(&t.batched_stamps, k);
+        }
         res
     }
 
     /// Requests `k` stamps through the flat-combining array: publishes
     /// the request in the leased slot's cell, then either a peer
     /// combiner serves it or this caller wins the combiner lock and
-    /// drains every published request with one reservation.
-    pub(crate) fn get_combined(&self, slot: usize, floor: u64, k: u64) -> CombinedGrant {
+    /// drains every published request with one reservation. Returns the
+    /// granted range's first and last packed words.
+    pub(crate) fn get_combined(&self, slot: usize, floor: u64, k: u64) -> (u64, u64) {
         // Pre-raise the floor so *whichever* combiner serves this
         // request reserves above it.
         if floor != 0 {
             self.raise_floor(floor);
         }
-        self.pubs[slot].publish(k);
-        let mut pass = None;
+        let cell = &self.pool.cells[slot].publication;
+        cell.publish(k);
         let mut spins = 0;
         let first = loop {
-            if let Some(first) = self.pubs[slot].poll() {
+            if let Some(first) = cell.poll() {
                 break first;
             }
             if !self.combiner.load(Ordering::Relaxed)
@@ -234,51 +217,54 @@ impl<B: RegisterBackend<u64>> Shard<B> {
                     .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
                     .is_ok()
             {
-                pass = self.combine_pass();
+                self.combine_pass(slot);
                 self.combiner.store(false, Ordering::Release);
                 // Our request was either drained by this pass or served
                 // by the previous lock holder before we acquired it;
                 // either way the grant is visible now.
-                let first = self.pubs[slot].poll().expect("combiner pass serves itself");
+                let first = cell.poll().expect("combiner pass serves itself");
                 break first;
             }
             backoff(&mut spins);
         };
         let last = first + (k - 1);
         self.publish(slot, last);
-        CombinedGrant { first, last, pass }
+        add(&self.pool.cells[slot].tally.calls, 1);
+        (first, last)
     }
 
-    /// One combiner pass (lock held by the caller): drains every
-    /// published request, reserves the sum with one CAS, distributes
-    /// consecutive sub-ranges. Returns `None` if no request was pending
-    /// (the caller's own was served by the previous lock holder).
-    fn combine_pass(&self) -> Option<Pass> {
-        let mut requests: Vec<(usize, u64)> = Vec::with_capacity(self.pubs.len());
+    /// One combiner pass (lock held by the caller, who leases `slot`):
+    /// drains every published request, reserves the sum with one CAS,
+    /// distributes consecutive sub-ranges and counts the pass in the
+    /// caller's tally. Does nothing if no request was pending (the
+    /// caller's own was served by the previous lock holder).
+    fn combine_pass(&self, slot: usize) {
+        let cells = &self.pool.cells;
+        let mut requests: Vec<(usize, u64)> = Vec::with_capacity(cells.len());
         let mut total = 0u64;
-        for (i, cell) in self.pubs.iter().enumerate() {
-            let k = cell.pending();
+        for (i, cell) in cells.iter().enumerate() {
+            let k = cell.publication.pending();
             if k > 0 {
                 requests.push((i, k));
                 total += k;
             }
         }
         if total == 0 {
-            return None;
+            return;
         }
         // Floors were folded by each peer before publishing, so the
         // pass reserves with floor 0.
         let res = self.reserve(0, total);
         let mut next = res.first;
         for (i, k) in requests.iter().copied() {
-            self.pubs[i].serve(next);
+            cells[i].publication.serve(next);
             next += k;
         }
-        self.stamps.fetch_add(total, Ordering::Relaxed);
-        Some(Pass {
-            served: requests.len() as u64,
-            fast: res.fast,
-        })
+        let t = &cells[slot].tally;
+        add(&t.combine_passes, 1);
+        add(&t.combined_ops, requests.len() as u64);
+        add(&t.stamps, total);
+        add(&t.fast_hits, u64::from(res.fast));
     }
 
     /// Collect over the register bank: the largest published word, or
@@ -299,11 +285,6 @@ impl<B: RegisterBackend<u64>> Shard<B> {
         (max > 0).then_some(max)
     }
 
-    /// Stamps issued by this shard so far.
-    pub(crate) fn stamps(&self) -> u64 {
-        self.stamps.load(Ordering::Relaxed)
-    }
-
     /// The shard's register-traffic meter.
     pub(crate) fn meter(&self) -> &SpaceMeter {
         &self.meter
@@ -313,6 +294,7 @@ impl<B: RegisterBackend<u64>> Shard<B> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pool::Tally;
     use ts_register::PackedBackend;
 
     fn word(epoch: u32, local: u32) -> u64 {
@@ -351,7 +333,6 @@ mod tests {
         let res = shard.get_batch(1, 0, 3);
         assert_eq!(res.last, word(0, 3));
         assert_eq!(shard.collect_max_word(), Some(word(0, 3)));
-        assert_eq!(shard.stamps(), 3);
         // A lower floor on the same slot must not regress the register.
         shard.get_batch(1, 0, 1);
         assert_eq!(shard.collect_max_word(), Some(word(0, 4)));
@@ -371,15 +352,16 @@ mod tests {
     fn solo_combining_call_combines_itself() {
         let shard = Shard::<PackedBackend>::new(2);
         let grant = shard.get_combined(0, 0, 1);
-        assert_eq!((grant.first, grant.last), (word(0, 1), word(0, 1)));
-        let pass = grant.pass.expect("no peer: the caller must combine");
-        assert_eq!(pass.served, 1);
-        assert!(pass.fast);
+        assert_eq!(grant, (word(0, 1), word(0, 1)));
+        // No peer: the caller combined its own request, first try.
+        let t = &shard.pool.cells[0].tally;
+        let pass = [&t.combine_passes, &t.combined_ops, &t.stamps, &t.fast_hits];
+        assert_eq!(pass.map(|c| c.load(Ordering::Relaxed)), [1; 4]);
         // The grant was published to the slot register.
         assert_eq!(shard.collect_max_word(), Some(word(0, 1)));
         // A second call with the first stamp as floor lands above it.
         let grant = shard.get_combined(1, word(0, 1), 1);
-        assert_eq!(grant.first, word(0, 2));
+        assert_eq!(grant.0, word(0, 2));
     }
 
     #[test]
@@ -395,9 +377,8 @@ mod tests {
                 for i in 0..rounds {
                     let k = 1 + (i % 3) as u64;
                     let lease = shard.pool.lease();
-                    let grant = shard.get_combined(lease.slot(), 0, k);
+                    got.push(shard.get_combined(lease.slot(), 0, k));
                     drop(lease);
-                    got.push((grant.first, grant.last));
                 }
                 got
             }));
@@ -410,6 +391,16 @@ mod tests {
                 }
             }
         }
-        assert_eq!(seen.len() as u64, shard.stamps());
+        let total = |f: fn(&Tally) -> &AtomicU64| -> u64 {
+            let cells = shard.pool.cells.iter();
+            cells.map(|c| f(&c.tally).load(Ordering::Relaxed)).sum()
+        };
+        assert_eq!(
+            total(|t| &t.stamps),
+            seen.len() as u64,
+            "passes count every stamp"
+        );
+        assert_eq!(total(|t| &t.calls), (threads * rounds) as u64);
+        assert_eq!(total(|t| &t.combined_ops), (threads * rounds) as u64);
     }
 }

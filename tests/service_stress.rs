@@ -13,9 +13,14 @@
 //!   sessions over `n = 8` physical slots through the churn scenario;
 //!   the per-worker monotonicity asserts inside the engine check the
 //!   timestamp property while sessions outnumber registers 8:1.
+//! - **Blocking leases**: N threads over one slot per shard, so calls
+//!   sleep for a lease; a lost wake-up fails as a bounded "lease hang"
+//!   instead of hanging the suite.
 
 use std::collections::HashSet;
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Barrier;
+use std::time::Duration;
 
 use timestamp_suite::ts_core::{EpochBackend, PackedBackend, RegisterBackend, ShardedTimestamp};
 use timestamp_suite::ts_register;
@@ -91,6 +96,12 @@ fn batch_stress<B: RegisterBackend<u64>>(shards: usize) {
         "stats disagree with issue count"
     );
     assert_eq!(stats.calls, (THREADS * per_thread) as u64);
+    // Calls with k > 1 are batches; the k == 1 calls are single stamps.
+    let singles = (THREADS * per_thread.div_ceil(16)) as u64;
+    assert_eq!(stats.batches, stats.calls - singles);
+    assert_eq!(stats.batched_stamps, stats.stamps - singles);
+    assert!(stats.fast_hits <= stats.calls);
+    assert_eq!((stats.combined_ops, stats.combine_passes), (0, 0));
     assert_eq!(stats.shard_stamps.len(), shards);
     assert_eq!(stats.shard_stamps.iter().sum::<u64>(), stats.stamps);
 }
@@ -136,14 +147,86 @@ fn combining_issues_each_request_exactly_once() {
             vec![session.get_ts_combined()]
         });
         let stats = service.stats();
-        assert_eq!(all.len(), THREADS * per_thread);
-        assert_eq!(stats.stamps, (THREADS * per_thread) as u64);
-        // Every request was served through some pass (possibly its own).
+        let calls = (THREADS * per_thread) as u64;
+        assert_eq!(all.len() as u64, calls);
+        assert_eq!((stats.calls, stats.stamps), (calls, calls));
+        // Every request was served by exactly one pass (possibly its own).
+        assert_eq!(stats.combined_ops, calls);
         assert!(stats.combine_passes >= 1);
-        assert!(
-            stats.combined_ops >= stats.combine_passes,
-            "passes served fewer requests than passes ran"
+        assert!(stats.combine_passes <= stats.calls);
+        // Only a combiner's pass can hit the fast path.
+        assert!(stats.fast_hits <= stats.combine_passes);
+        assert_eq!((stats.batches, stats.batched_stamps), (0, 0));
+        assert_eq!(stats.shard_stamps.iter().sum::<u64>(), stats.stamps);
+    }
+}
+
+/// Batch size of call `i` in the blocking-lease mix: 2..=8, so every
+/// batch call counts as a batch.
+fn mixed_batch(i: usize) -> u32 {
+    2 + (i / 3 % 7) as u32
+}
+
+/// Pools oversubscribed 8:1 or 4:1 (one slot per shard), with single,
+/// batch and combining calls mixed, so calls find their slot taken and
+/// sleep for it. Rounds repeat until some lease has blocked: on one CPU
+/// a lease is only ever found taken when its holder is preempted. The
+/// rounds run on a helper thread so that a lost wake-up fails here
+/// after a bounded wait rather than hanging CI.
+#[test]
+fn oversubscribed_leases_wake_every_sleeper() {
+    const PER_THREAD: usize = 3000;
+    const MAX_ROUNDS: u64 = 200;
+    for shards in [1usize, 2] {
+        let (tx, rx) = mpsc::channel();
+        let helper = std::thread::spawn(move || {
+            let service = ShardedCollectMax::new(ServiceConfig::new(shards, 1));
+            let mut all = HashSet::new();
+            let mut rounds = 0;
+            while rounds == 0 || service.stats().lease_waits == 0 {
+                assert!(rounds < MAX_ROUNDS, "no lease blocked in {rounds} rounds");
+                let round = hammer(&service, PER_THREAD, |session, i| match i % 3 {
+                    0 => vec![session.get_ts()],
+                    1 => session.get_ts_batch(mixed_batch(i)).collect(),
+                    _ => vec![session.get_ts_combined()],
+                });
+                for key in round {
+                    assert!(all.insert(key), "stamp {key:?} issued in two rounds");
+                }
+                rounds += 1;
+            }
+            tx.send((all.len() as u64, rounds, service.stats()))
+                .expect("main thread is waiting");
+        });
+        let (issued, rounds, stats) = match rx.recv_timeout(Duration::from_secs(60)) {
+            Ok(done) => done,
+            Err(RecvTimeoutError::Timeout) => {
+                panic!(
+                    "lease hang: {shards} shard(s) x 1 slot, {THREADS} threads, not done in 60 s"
+                )
+            }
+            Err(RecvTimeoutError::Disconnected) => std::panic::resume_unwind(
+                helper.join().expect_err("helper exits only after sending"),
+            ),
+        };
+        helper.join().expect("helper thread");
+        let thread_rounds = rounds * THREADS as u64;
+        let per_kind = |kind: usize| (0..PER_THREAD).filter(move |i| i % 3 == kind);
+        let batches = per_kind(1).count() as u64 * thread_rounds;
+        let batched_stamps =
+            per_kind(1).map(|i| u64::from(mixed_batch(i))).sum::<u64>() * thread_rounds;
+        let combined = per_kind(2).count() as u64 * thread_rounds;
+        let singles = per_kind(0).count() as u64 * thread_rounds;
+        assert!(stats.lease_waits > 0);
+        assert_eq!(stats.calls, PER_THREAD as u64 * thread_rounds);
+        assert_eq!(stats.stamps, singles + batched_stamps + combined);
+        assert_eq!(stats.stamps, issued);
+        assert_eq!(
+            (stats.batches, stats.batched_stamps),
+            (batches, batched_stamps)
         );
+        assert_eq!(stats.combined_ops, combined);
+        assert_eq!(stats.shard_stamps.iter().sum::<u64>(), stats.stamps);
     }
 }
 
