@@ -21,7 +21,8 @@
 //!   backwards.
 //! * **Publication** — a write acks only after `f + 1` replicas hold
 //!   it; every later read quorum intersects that set. The
-//!   happens-before edge rides the replica locks.
+//!   happens-before edge rides the lock of the register's cell on a
+//!   replica in that intersection.
 //! * **Stamp semantics** — stamps are packed `(seq, writer)` pairs:
 //!   distinct writes of one register never share a stamp, and equal
 //!   stamps mean the same write. `u64` order equals pair order.

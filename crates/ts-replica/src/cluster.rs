@@ -48,9 +48,10 @@
 //! fault-free `f = 1` cluster, which keeps doc-tests and quick probes
 //! zero-ceremony.
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::rc::Rc;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use ts_core::workload::VpidAllocator;
@@ -58,7 +59,7 @@ use ts_core::{ServiceStats, Timestamp};
 
 use crate::net::{FaultPlan, Lane, NetStats, Pumped, Router, MAX_REPLICAS};
 use crate::proto::{Message, MsgKind, WriteStamp};
-use crate::replica::Replica;
+use crate::replica::{Cells, Replica};
 
 /// Default per-operation deadline, in client-local steps (see
 /// [`ClusterConfig::deadline`]). Generous: a healthy or lossy-but-live
@@ -194,21 +195,56 @@ fn mix(seed: u64, a: u64, b: u64, c: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// One client's share of the cluster's quorum counters, plus the
+/// client's op-id counter, on its own padded line of the client's
+/// [`Lane`]. Only the owning client writes them, with [`add`]; the
+/// [`Cluster`] getters sum every lane's.
+#[derive(Debug, Default)]
+pub(crate) struct Tally {
+    /// The next operation id this client mints. Replies are matched
+    /// within the client's own lane, so ids are unique per client only.
+    next_op: AtomicU64,
+    rounds: AtomicU64,
+    repairs: AtomicU64,
+    retries: AtomicU64,
+    timeouts: AtomicU64,
+    backoffs: AtomicU64,
+    degraded: AtomicU64,
+    unavailable: AtomicU64,
+}
+
+/// Adds `n` to a [`Tally`] counter with a plain load + store, no RMW.
+/// The caller must be the lane's owning client, its only writer.
+/// Readers load `Relaxed` (exact once the writers are joined).
+fn add(counter: &AtomicU64, n: u64) {
+    counter.store(counter.load(Ordering::Relaxed) + n, Ordering::Relaxed);
+}
+
 /// This thread's identity as a client of one cluster.
 struct ClientSlot {
     id: u32,
-    /// The next operation id this client mints. Replies are matched
-    /// within the client's own lane, so ids are unique per client only.
-    next_op: Cell<u64>,
     /// The client's network lane, co-owned by the cluster's router.
     lane: Arc<Lane>,
+}
+
+impl ClientSlot {
+    fn tally(&self) -> &Tally {
+        &self.lane.tally
+    }
+
+    /// Mints this client's next operation id.
+    fn next_op(&self) -> u64 {
+        let op = self.tally().next_op.load(Ordering::Relaxed);
+        add(&self.tally().next_op, 1);
+        op
+    }
 }
 
 thread_local! {
     /// Stack of ambient clusters (innermost last); see [`with_cluster`].
     static AMBIENT: RefCell<Vec<Arc<Cluster>>> = const { RefCell::new(Vec::new()) };
     /// This thread's client slot per cluster uid.
-    static CLIENT_IDS: RefCell<HashMap<u64, ClientSlot>> = RefCell::new(HashMap::new());
+    static CLIENT_IDS: RefCell<HashMap<u64, Rc<ClientSlot>>> = RefCell::new(HashMap::new());
 }
 
 static NEXT_CLUSTER_UID: AtomicU64 = AtomicU64::new(0);
@@ -245,16 +281,10 @@ pub struct Cluster {
     uid: u64,
     config: ClusterConfig,
     replicas: Vec<Replica>,
+    /// Every replica's per-register cells (shared with the replicas).
+    cells: Arc<Cells>,
     router: Router,
-    next_reg: AtomicU32,
     client_vpids: VpidAllocator,
-    rounds: AtomicU64,
-    repairs: AtomicU64,
-    retries: AtomicU64,
-    timeouts: AtomicU64,
-    backoffs: AtomicU64,
-    degraded: AtomicU64,
-    unavailable: AtomicU64,
     crashes: AtomicU64,
     restarts: AtomicU64,
     resynced_regs: AtomicU64,
@@ -274,7 +304,7 @@ impl std::fmt::Debug for Cluster {
             .field("f", &self.config.f)
             .field("replicas", &self.replicas.len())
             .field("plan", &self.config.plan)
-            .field("registers", &self.next_reg.load(Ordering::Relaxed))
+            .field("registers", &self.registers())
             .finish_non_exhaustive()
     }
 }
@@ -287,20 +317,16 @@ impl Cluster {
     /// If `2f + 1` exceeds [`MAX_REPLICAS`].
     pub fn new(config: ClusterConfig) -> Arc<Self> {
         assert_replica_count(config.f);
+        let cells = Arc::new(Cells::new(config.replicas()));
         Arc::new(Self {
             uid: NEXT_CLUSTER_UID.fetch_add(1, Ordering::Relaxed),
             config,
-            replicas: (0..config.replicas() as u32).map(Replica::new).collect(),
+            replicas: (0..config.replicas() as u32)
+                .map(|id| Replica::new(id, Arc::clone(&cells)))
+                .collect(),
+            cells,
             router: Router::new(config.plan),
-            next_reg: AtomicU32::new(0),
             client_vpids: VpidAllocator::new(),
-            rounds: AtomicU64::new(0),
-            repairs: AtomicU64::new(0),
-            retries: AtomicU64::new(0),
-            timeouts: AtomicU64::new(0),
-            backoffs: AtomicU64::new(0),
-            degraded: AtomicU64::new(0),
-            unavailable: AtomicU64::new(0),
             crashes: AtomicU64::new(0),
             restarts: AtomicU64::new(0),
             resynced_regs: AtomicU64::new(0),
@@ -344,40 +370,46 @@ impl Cluster {
         self.router.stats()
     }
 
-    /// Quorum round-trips performed (one per completed phase).
+    /// `counter` summed over every client's [`Tally`].
+    fn tally(&self, counter: impl Fn(&Tally) -> &AtomicU64) -> u64 {
+        self.router
+            .sum_lanes(|lane| counter(&lane.tally).load(Ordering::Relaxed))
+    }
+
+    /// Quorum round-trips performed (one per phase started).
     pub fn quorum_rounds(&self) -> u64 {
-        self.rounds.load(Ordering::Relaxed)
+        self.tally(|t| &t.rounds)
     }
 
     /// Read-repair write-backs performed.
     pub fn quorum_repairs(&self) -> u64 {
-        self.repairs.load(Ordering::Relaxed)
+        self.tally(|t| &t.repairs)
     }
 
     /// Client retransmission attempts (fault pressure).
     pub fn quorum_retries(&self) -> u64 {
-        self.retries.load(Ordering::Relaxed)
+        self.tally(|t| &t.retries)
     }
 
     /// Operations that exhausted their step deadline.
     pub fn quorum_timeouts(&self) -> u64 {
-        self.timeouts.load(Ordering::Relaxed)
+        self.tally(|t| &t.timeouts)
     }
 
     /// Backoff steps spent waiting between retransmissions.
     pub fn quorum_backoff_steps(&self) -> u64 {
-        self.backoffs.load(Ordering::Relaxed)
+        self.tally(|t| &t.backoffs)
     }
 
     /// Operations that completed, but only after retrying (service was
     /// degraded, not down, from that client's perspective).
     pub fn quorum_degraded(&self) -> u64 {
-        self.degraded.load(Ordering::Relaxed)
+        self.tally(|t| &t.degraded)
     }
 
     /// Operations that returned [`Unavailable`].
     pub fn quorum_unavailable(&self) -> u64 {
-        self.unavailable.load(Ordering::Relaxed)
+        self.tally(|t| &t.unavailable)
     }
 
     /// Replica crashes injected.
@@ -541,16 +573,12 @@ impl Cluster {
     /// Allocates a fresh register initialized to `word` on every
     /// replica.
     pub fn alloc_register(self: &Arc<Self>, word: u64) -> u32 {
-        let reg = self.next_reg.fetch_add(1, Ordering::Relaxed);
-        for replica in &self.replicas {
-            replica.init_register(reg, word);
-        }
-        reg
+        self.cells.alloc(word)
     }
 
     /// Registers allocated so far.
     pub fn registers(&self) -> u32 {
-        self.next_reg.load(Ordering::Relaxed)
+        self.cells.len()
     }
 
     /// This thread's client id on this cluster (minted on first use).
@@ -561,18 +589,20 @@ impl Cluster {
     /// Mints this thread's next operation id as a client of this
     /// cluster: `(client id, op id)`.
     fn next_op(&self) -> (u32, u64) {
-        self.with_client(|c| {
-            let op = c.next_op.get();
-            c.next_op.set(op + 1);
-            (c.id, op)
-        })
+        self.with_client(|c| (c.id, c.next_op()))
+    }
+
+    /// This thread's client slot for this cluster: a quorum phase looks
+    /// it up once, not once per attempt.
+    fn client(&self) -> Rc<ClientSlot> {
+        self.with_client(Rc::clone)
     }
 
     /// Runs `f` on this thread's client slot for this cluster. The slot
-    /// (client id, op counter and network lane) is minted on first use
+    /// (client id and network lane) is minted on first use
     /// and cached thread-locally, so the hot path does no shared
     /// lookup.
-    fn with_client<R>(&self, f: impl FnOnce(&ClientSlot) -> R) -> R {
+    fn with_client<R>(&self, f: impl FnOnce(&Rc<ClientSlot>) -> R) -> R {
         CLIENT_IDS.with(|slots| {
             if let Some(slot) = slots.borrow().get(&self.uid) {
                 return f(slot);
@@ -582,11 +612,10 @@ impl Cluster {
             // the only other reference to the lane.
             slots.retain(|_, slot| Arc::strong_count(&slot.lane) > 1);
             let vpid = self.client_vpids.next();
-            let slot = slots.entry(self.uid).or_insert(ClientSlot {
+            let slot = slots.entry(self.uid).or_insert(Rc::new(ClientSlot {
                 id: Message::CLIENT_BASE + vpid,
-                next_op: Cell::new(0),
                 lane: self.router.lane(vpid),
-            });
+            }));
             f(slot)
         })
     }
@@ -608,9 +637,8 @@ impl Cluster {
     /// Fallible ABD read: quorum-maximum `(stamp, word)` with
     /// read-repair, or [`Unavailable`] once the step deadline expires.
     pub fn try_abd_read(&self, reg: u32) -> Result<(WriteStamp, u64), Unavailable> {
-        self.rounds.fetch_add(1, Ordering::Relaxed);
-        let need = self.quorum();
-        let replies = self.quorum_rpc(need, "read", reg, |op, from, to| Message {
+        let me = self.client();
+        let replies = self.quorum_rpc(&me, "read", reg, |op, from, to| Message {
             kind: MsgKind::ReadQuery,
             op,
             from,
@@ -630,8 +658,8 @@ impl Cluster {
             // Read-repair: the replies diverged, so the maximum may be
             // durable on fewer than f + 1 replicas. Write it back
             // before returning or a later read could go backwards.
-            self.repairs.fetch_add(1, Ordering::Relaxed);
-            self.try_write_back(reg, stamp, word)?;
+            add(&me.tally().repairs, 1);
+            self.try_write_back(&me, reg, stamp, word)?;
         }
         Ok((stamp, word))
     }
@@ -644,9 +672,8 @@ impl Cluster {
     /// still surface it), exactly like a timed-out write in any
     /// quorum system.
     pub fn try_abd_write(&self, reg: u32, word: u64) -> Result<WriteStamp, Unavailable> {
-        self.rounds.fetch_add(1, Ordering::Relaxed);
-        let need = self.quorum();
-        let replies = self.quorum_rpc(need, "write", reg, |op, from, to| Message {
+        let me = self.client();
+        let replies = self.quorum_rpc(&me, "write", reg, |op, from, to| Message {
             kind: MsgKind::ReadQuery,
             op,
             from,
@@ -662,17 +689,21 @@ impl Cluster {
             .map(|m| m.stamp())
             .max()
             .expect("quorum_rpc returns a full quorum");
-        let stamp = max.next(self.client_id());
-        self.try_write_back(reg, stamp, word)?;
+        let stamp = max.next(me.id);
+        self.try_write_back(&me, reg, stamp, word)?;
         Ok(stamp)
     }
 
     /// One quorum write phase: install `(stamp, word)` on `f + 1`
     /// replicas and wait for all acks.
-    fn try_write_back(&self, reg: u32, stamp: WriteStamp, word: u64) -> Result<(), Unavailable> {
-        self.rounds.fetch_add(1, Ordering::Relaxed);
-        let need = self.quorum();
-        let acks = self.quorum_rpc(need, "write-back", reg, |op, from, to| Message {
+    fn try_write_back(
+        &self,
+        me: &ClientSlot,
+        reg: u32,
+        stamp: WriteStamp,
+        word: u64,
+    ) -> Result<(), Unavailable> {
+        let acks = self.quorum_rpc(me, "write-back", reg, |op, from, to| Message {
             kind: MsgKind::Write,
             op,
             from,
@@ -687,9 +718,10 @@ impl Cluster {
         Ok(())
     }
 
-    /// Sends one request per target replica and collects `need`
-    /// replies from distinct replicas, retransmitting (with a fresh op
-    /// id and a widened target set) whenever the network runs dry.
+    /// One quorum phase of client `me`: sends one request per target
+    /// replica and collects `f + 1` replies from distinct replicas,
+    /// retransmitting (with a fresh op id and a widened target set)
+    /// whenever the network runs dry.
     ///
     /// Every probe, pump, and backoff tick is one **client-local
     /// step**; the phase fails with [`Unavailable`] once the step
@@ -702,21 +734,23 @@ impl Cluster {
     /// stale replies drain) while it waits.
     fn quorum_rpc(
         &self,
-        need: usize,
+        me: &ClientSlot,
         phase: &'static str,
         reg: u32,
         build: impl Fn(u64, u32, u32) -> Message,
     ) -> Result<Vec<Message>, Unavailable> {
         let n = self.replicas.len();
-        debug_assert!(need <= n);
+        let need = self.quorum();
         let deadline = self.config.deadline;
-        // Only the queued path touches the network lane.
-        let lane =
-            (!self.config.plan.is_fault_free()).then(|| self.with_client(|c| Arc::clone(&c.lane)));
+        let tally = me.tally();
+        add(&tally.rounds, 1);
+        // Only the queued path sends through the network lane.
+        let lane = (!self.config.plan.is_fault_free()).then_some(&*me.lane);
+        let client = me.id;
         let mut attempt = 0u64;
         let mut steps = 0u64;
         loop {
-            let (client, op) = self.next_op();
+            let op = me.next_op();
             // Snapshot the wipe epoch before the first probe of this
             // attempt; re-checked after the last reply.
             let epoch = self.wipe_epoch.load(Ordering::Acquire);
@@ -725,7 +759,7 @@ impl Cluster {
             let width = (need + attempt as usize).min(n);
             let start = (client as usize + attempt as usize) % n;
             let mut replies: Vec<Message> = Vec::with_capacity(need);
-            if let Some(lane) = &lane {
+            if let Some(lane) = lane {
                 for i in 0..width {
                     let to = ((start + i) % n) as u32;
                     steps += 1;
@@ -758,15 +792,15 @@ impl Cluster {
             // the loop either way.
             if replies.len() == need && self.wipe_epoch.load(Ordering::Acquire) == epoch {
                 if attempt > 0 {
-                    self.degraded.fetch_add(1, Ordering::Relaxed);
+                    add(&tally.degraded, 1);
                 }
                 return Ok(replies);
             }
             attempt += 1;
-            self.retries.fetch_add(1, Ordering::Relaxed);
+            add(&tally.retries, 1);
             if steps >= deadline {
-                self.timeouts.fetch_add(1, Ordering::Relaxed);
-                self.unavailable.fetch_add(1, Ordering::Relaxed);
+                add(&tally.timeouts, 1);
+                add(&tally.unavailable, 1);
                 return Err(Unavailable {
                     reg,
                     op: phase,
@@ -783,13 +817,13 @@ impl Cluster {
             let base = 1u64 << attempt.min(BACKOFF_CAP);
             let jitter = mix(self.config.plan.seed, client as u64, op, attempt) % base;
             let wait = (base + jitter).min(deadline.saturating_sub(steps));
-            for _ in 0..wait {
-                steps += 1;
-                self.backoffs.fetch_add(1, Ordering::Relaxed);
-                // Waiting ticks pump the lane (Idle is cheap when it is
-                // empty); replies landing here belong to the abandoned
-                // attempt, whose reply set is discarded.
-                if let Some(lane) = &lane {
+            add(&tally.backoffs, wait);
+            steps += wait;
+            // Waiting ticks pump the lane (Idle is cheap when it is
+            // empty); replies landing here belong to the abandoned
+            // attempt, whose reply set is discarded.
+            if let Some(lane) = lane {
+                for _ in 0..wait {
                     self.pump_dispatch(lane, op, &mut replies);
                 }
             }

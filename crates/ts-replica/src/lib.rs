@@ -18,9 +18,9 @@
 //! | module | what lives there |
 //! |---|---|
 //! | [`proto`] | [`WriteStamp`] `(seq, writer)` pairs, the flat [`Message`] envelope |
-//! | [`net`] | [`Router`]: per-client lanes, seeded [`FaultPlan`] knobs, partitions, the per-delivery step hook |
-//! | [`replica`] | [`Replica`]: per-register `(stamp, word)` slots, handlers, the armed monotonicity invariant |
-//! | [`cluster`] | [`Cluster`]: ABD reads/writes, retransmission, [`with_cluster`] scoping; [`QuorumTs`], the message-step timestamp object |
+//! | [`net`] | [`Router`]: per-client lanes (in-flight queue, fault stream, op ids, quorum tallies), seeded [`FaultPlan`] knobs, partitions, the per-delivery step hook |
+//! | [`replica`] | [`Replica`]: register-major `(stamp, word)` cells, one lock each, behind a lock-free chunked index; handlers, the armed monotonicity invariant |
+//! | [`cluster`] | [`Cluster`]: ABD reads/writes, retransmission, counters summed over the client lanes, [`with_cluster`] scoping; [`QuorumTs`], the message-step timestamp object |
 //! | [`backend`] | [`QuorumBackend`] / [`QuorumRegister`]: the [`RegisterBackend`](ts_register::RegisterBackend) seam |
 //! | [`model`] | [`QuorumModel`] / [`QuorumMachine`]: the model twin (one register per replica, one step per message) |
 //! | [`workload`] | [`QuorumTsTarget`], [`ReplicatedCollectMax`]: grid / replay adapters |

@@ -2,7 +2,8 @@
 //!
 //! Every quorum client reaches the replicas over its own private
 //! *lane*: the client's in-flight messages, a virtual clock, a
-//! seeded fault stream and the lane's counters. The lanes share one
+//! seeded fault stream and the lane's counters, plus the client's op-id
+//! counter and quorum tallies. The lanes share one
 //! [`Router`] (the in-process reproduction of `dist-register`'s
 //! `network/modelled.rs`, where each client's links are independent),
 //! which keeps only what is global: the plan, the step hook, the
@@ -67,6 +68,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use ts_register::CachePadded;
 
+use crate::cluster::Tally;
 use crate::proto::Message;
 
 /// Replica ids the crash/partition bitmasks can address: a cluster
@@ -171,13 +173,16 @@ struct LaneState {
     stats: NetStats,
 }
 
-/// One client's private share of the network: its in-flight messages,
-/// virtual clock, seeded fault stream and counters. Only the owning
-/// client touches the lock on the hot path; [`Router::stats`] takes it
-/// to sum the counters.
+/// One client's private share of the network, on two padded lines of
+/// its own: the in-flight messages, virtual clock, seeded fault stream
+/// and net counters under a lock that only the owning client takes on
+/// the hot path ([`Router::stats`] takes it to sum the counters); and
+/// the client's op-id counter and quorum [`Tally`], which only the
+/// owning client writes and [`Router::sum_lanes`] sums.
 #[derive(Debug)]
 pub(crate) struct Lane {
     state: CachePadded<Mutex<LaneState>>,
+    pub(crate) tally: CachePadded<Tally>,
 }
 
 /// What one pump produced: a message for a handler, silence, or proof
@@ -290,6 +295,7 @@ impl Router {
                 rng: StdRng::seed_from_u64(seed),
                 stats: NetStats::default(),
             })),
+            tally: CachePadded::default(),
         });
         self.lanes
             .lock()
@@ -390,6 +396,16 @@ impl Router {
             total.merge(&lane.state.lock().expect("lane lock").stats);
         }
         total
+    }
+
+    /// Sums `f` over every lane ever opened.
+    pub(crate) fn sum_lanes(&self, f: impl Fn(&Lane) -> u64) -> u64 {
+        self.lanes
+            .lock()
+            .expect("lanes lock")
+            .iter()
+            .map(|l| f(l))
+            .sum()
     }
 
     /// The delivered-message log (empty unless
