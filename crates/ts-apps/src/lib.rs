@@ -32,7 +32,6 @@
 mod fcfs_lock;
 mod kexclusion;
 mod renaming;
-mod workload;
 
 pub use fcfs_lock::{FcfsLock, FcfsLockGuard};
 pub use kexclusion::{KExclusion, KExclusionGuard};

@@ -7,7 +7,7 @@ use std::sync::Arc;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use ts_register::RegisterArray;
-use ts_snapshot::double_collect_scan;
+use ts_snapshot::adaptive_scan;
 
 fn bench_quiescent(c: &mut Criterion) {
     let mut group = c.benchmark_group("scan/quiescent");
@@ -17,7 +17,7 @@ fn bench_quiescent(c: &mut Criterion) {
     for m in [8usize, 32, 128, 512] {
         let array: RegisterArray<u64> = RegisterArray::new(m, 0);
         group.bench_with_input(BenchmarkId::from_parameter(m), &m, |b, _| {
-            b.iter(|| std::hint::black_box(double_collect_scan(&array)))
+            b.iter(|| std::hint::black_box(adaptive_scan(&array).0))
         });
     }
     group.finish();
@@ -44,7 +44,7 @@ fn bench_under_writer(c: &mut Criterion) {
             })
         };
         group.bench_with_input(BenchmarkId::from_parameter(m), &m, |b, _| {
-            b.iter(|| std::hint::black_box(double_collect_scan(&array)))
+            b.iter(|| std::hint::black_box(adaptive_scan(&array).0))
         });
         stop.store(true, Ordering::Relaxed);
         writer.join().unwrap();

@@ -13,12 +13,12 @@
 //! padded-vs-unpadded A/B cell.
 //!
 //! The `ts-service` layer joins the grid as `sharded_s{S}_{mode}` cells
-//! (`S ∈ {1,4,16}` shard domains × `{single, batch16, combining}`
+//! (`S ∈ {1,4,16}` shard domains × `{single, batch16}`
 //! issue modes) under the pure-issue scenarios (`closed_getts`,
 //! `open_bursty`). Service rows carry extra columns from the unified
 //! [`ServiceStats`] snapshot — `stamps_per_sec` (the per-stamp
 //! throughput; batch cells issue 16 stamps per op so `ops/sec` alone
-//! would hide the amortization), fast-hit ratio, batch/combine fill,
+//! would hide the amortization), fast-hit ratio, batch fill,
 //! shard imbalance and lease waits; the columns are `null` on rows
 //! whose target has no stats hook.
 //!
@@ -75,18 +75,19 @@ use serde::Serialize;
 
 use ts_apps::{FcfsLock, KExclusion};
 use ts_bench::Table;
-use ts_core::workload::WorkloadTarget;
 use ts_core::{
-    ArrayLayout, BoundedTimestamp, CollectMax, EpochBackend, GrowableWorkload, HelpingScanWorkload,
-    OneShotPool, PackedBackend, ScanMode, ServiceStats, SimpleOneShot,
+    ArrayLayout, BoundedTimestamp, CollectMax, EpochBackend, PackedBackend, ServiceStats,
+    SimpleOneShot,
 };
-use ts_replica::{ClusterConfig, FaultPlan, ReplicatedCollectMax, ReplicatedTryRegisters};
+use ts_replica::{ClusterConfig, FaultPlan, ReplicatedCollectMax};
 use ts_service::{IssueMode, ServiceConfig};
 use ts_snapshot::ScanPolicy;
 use ts_workloads::replay::{case_target, corpus_cases, corpus_traces, replay_trace, ReplayReport};
 use ts_workloads::{
     catalog, run_scenario, run_scenario_with, Arrival, Campaign, EngineOptions, FaultEvent,
-    FaultSchedule, OpMix, RunConfig, Scenario, ScenarioReport, ServiceTarget, TimedFault,
+    FaultSchedule, GrowableWorkload, HelpingScanWorkload, OneShotPool, OpMix,
+    ReplicatedTryRegisters, RunConfig, ScanMode, Scenario, ScenarioReport, ServiceTarget,
+    TimedFault, WorkloadOp, WorkloadTarget,
 };
 
 /// One measured (object × backend × scenario × threads) cell.
@@ -117,7 +118,6 @@ struct WorkloadRow {
     stamps_per_sec: Option<f64>,
     fast_hit_ratio: Option<f64>,
     avg_batch_fill: Option<f64>,
-    avg_combine_fill: Option<f64>,
     shard_imbalance: Option<f64>,
     lease_waits: Option<u64>,
     // Replicated-backend columns, `null` unless the cell's registers
@@ -170,7 +170,6 @@ impl WorkloadRow {
             stamps_per_sec: None,
             fast_hit_ratio: None,
             avg_batch_fill: None,
-            avg_combine_fill: None,
             shard_imbalance: None,
             lease_waits: None,
             quorum_rounds_per_call: None,
@@ -216,7 +215,6 @@ impl WorkloadRow {
             }),
             fast_hit_ratio: stats.and_then(ServiceStats::fast_hit_ratio),
             avg_batch_fill: stats.and_then(ServiceStats::avg_batch_fill),
-            avg_combine_fill: stats.and_then(ServiceStats::avg_combine_fill),
             shard_imbalance: stats.and_then(ServiceStats::shard_imbalance),
             lease_waits: stats.map(|s| s.lease_waits),
             quorum_rounds_per_call: stats.and_then(ServiceStats::rounds_per_call),
@@ -354,13 +352,10 @@ fn targets(threads: usize, pool_size: usize) -> Vec<Box<dyn WorkloadTarget>> {
 const SERVICE_CELLS: &[(usize, IssueMode, &str)] = &[
     (1, IssueMode::Single, "sharded_s1_single"),
     (1, IssueMode::Batch(16), "sharded_s1_batch16"),
-    (1, IssueMode::Combining, "sharded_s1_combining"),
     (4, IssueMode::Single, "sharded_s4_single"),
     (4, IssueMode::Batch(16), "sharded_s4_batch16"),
-    (4, IssueMode::Combining, "sharded_s4_combining"),
     (16, IssueMode::Single, "sharded_s16_single"),
     (16, IssueMode::Batch(16), "sharded_s16_batch16"),
-    (16, IssueMode::Combining, "sharded_s16_combining"),
 ];
 
 /// Service cells run only under the pure-issue scenarios: the service's
@@ -594,11 +589,7 @@ fn chaos_cells(threads: usize, ops_per_thread: u64) -> Vec<WorkloadRow> {
             name: "stalled_writer_scan",
             arrival: Arrival::ClosedLoop,
             mix: OpMix::zipf(
-                [
-                    ts_core::WorkloadOp::Scan,
-                    ts_core::WorkloadOp::GetTs,
-                    ts_core::WorkloadOp::Compare,
-                ],
+                [WorkloadOp::Scan, WorkloadOp::GetTs, WorkloadOp::Compare],
                 1.2,
             ),
             churn: None,

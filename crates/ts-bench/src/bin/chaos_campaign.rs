@@ -25,11 +25,10 @@ use std::time::Duration;
 use serde::Serialize;
 
 use ts_bench::Table;
-use ts_core::workload::WorkloadTarget;
-use ts_replica::{ClusterConfig, ReplicatedCollectMax, ReplicatedTryRegisters};
+use ts_replica::{ClusterConfig, ReplicatedCollectMax};
 use ts_workloads::{
     run_scenario_with, Arrival, Campaign, CampaignShape, EngineOptions, FaultEvent, FaultSchedule,
-    OpMix, RunConfig, Scenario, ScenarioReport, TimedFault,
+    OpMix, ReplicatedTryRegisters, RunConfig, Scenario, ScenarioReport, TimedFault, WorkloadTarget,
 };
 
 /// One campaign cell's recorded evidence.

@@ -73,7 +73,7 @@ use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use ts_register::{PackedRegisterArray, RegisterArray, SpaceMeter};
-use ts_snapshot::double_collect_scan;
+use ts_snapshot::adaptive_scan;
 
 use crate::error::GetTsError;
 use crate::ids::GetTsId;
@@ -683,7 +683,7 @@ impl BoundedTimestamp {
         self.meter_validity_loop(myrnd, iterations, iterations);
 
         // Line 13: linearizable view via double-collect scan.
-        let view = double_collect_scan(&self.regs);
+        let view = adaptive_scan(&self.regs).0;
 
         // Line 14: r[myrnd + 1] == ⊥ ? (1-based paper index → 0-based array)
         if view[myrnd].value == BOT {

@@ -134,12 +134,10 @@ impl fmt::Debug for BrokenStaleRead {
 /// read/write phase boundary so a replay controller can hold the
 /// stalled writer exactly where the counterexample needs it.
 ///
-/// Its [`WorkloadTarget`](crate::workload::WorkloadTarget) impl is
-/// **replay-only**: each slot supports exactly one `GetTs` (matching
-/// the one-shot twin), and a second op panics. To drive it with the
-/// scenario engine, wrap it in
-/// [`OneShotPool`](crate::workload::OneShotPool) like the other
-/// one-shot objects.
+/// Its workload target in `ts-workloads` is **replay-only**: each
+/// slot supports exactly one `GetTs` (matching the one-shot twin), and
+/// a second op panics. To drive it with the scenario engine, wrap it
+/// in that crate's `OneShotPool` like the other one-shot objects.
 pub struct BrokenCounter {
     register: WordRegister,
     used: Vec<AtomicBool>,

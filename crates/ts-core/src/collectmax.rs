@@ -251,11 +251,10 @@ impl<B: RegisterBackend<u64>> CollectMax<B> {
             .saturating_sub(self.misses.load(Ordering::Relaxed))
     }
 
-    /// Unified hot-path counter snapshot (the [`ServiceStats`] fold of
-    /// the PR-5 `fast_path_hits` pattern): calls, stamps, fast hits and
-    /// batch fill in one struct, so reports show *ratios* instead of
-    /// opaque throughput. Combining counters stay zero — this object
-    /// has no combiner; `shard_stamps` is the single-shard vector.
+    /// Unified hot-path counter snapshot ([`ServiceStats`]): calls,
+    /// stamps, fast hits and batch fill in one struct, so reports show
+    /// *ratios* instead of opaque throughput; `shard_stamps` is the
+    /// single-shard vector.
     pub fn stats(&self) -> ServiceStats {
         let calls = self.calls();
         let batches = self.batches.load(Ordering::Relaxed);
@@ -354,7 +353,7 @@ impl<B: RegisterBackend<u64>> CollectMax<B> {
     ///
     /// This is the step-barrier seam of the schedule-replay harness: a
     /// controller whose `pause` blocks on a
-    /// [`StepGate`](crate::workload::StepGate) can hold this call
+    /// [`StepGate`](crate::StepGate) can hold this call
     /// between any two accesses — e.g. keep the final write pending
     /// while other processes complete, the paper's stalled-writer
     /// adversary. With a no-op hook this is the collect fallback of

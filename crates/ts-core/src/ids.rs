@@ -1,6 +1,7 @@
 //! getTS-ids: identifiers of individual `getTS` invocations.
 
 use std::fmt;
+use std::sync::atomic::{AtomicU32, Ordering};
 
 /// The paper's getTS-id `p.k`: the `k`-th invocation by process `p`.
 ///
@@ -30,6 +31,49 @@ impl GetTsId {
 impl fmt::Display for GetTsId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "p{}.{}", self.pid, self.seq)
+    }
+}
+
+/// Hands out globally unique virtual process ids (vpids).
+///
+/// This is the machinery behind `M` clients over `n` physical slots:
+/// identity (the vpid, never reused, never bounded) is decoupled from
+/// storage (the slot, leased while an operation runs). The workload
+/// engine's growable target mints a fresh vpid per churn life so
+/// `GetTsId`s stay unique across worker replacements; the `ts-service`
+/// crate uses it to key client sessions, so slot count stops scaling
+/// with client count.
+///
+/// # Example
+///
+/// ```
+/// use ts_core::VpidAllocator;
+///
+/// let vpids = VpidAllocator::new();
+/// let a = vpids.next();
+/// let b = vpids.next();
+/// assert_ne!(a, b);
+/// assert_eq!(vpids.issued(), 2);
+/// ```
+#[derive(Debug, Default)]
+pub struct VpidAllocator {
+    next: AtomicU32,
+}
+
+impl VpidAllocator {
+    /// Creates an allocator starting at vpid 0.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Mints the next vpid (never reused).
+    pub fn next(&self) -> u32 {
+        self.next.fetch_add(1, Ordering::Relaxed)
+    }
+
+    /// Vpids handed out so far.
+    pub fn issued(&self) -> u32 {
+        self.next.load(Ordering::Relaxed)
     }
 }
 

@@ -23,6 +23,14 @@
 //! | [`CollectMax`] | long-lived baseline (cf. EFR 2008) | `n` |
 //! | [`GrowableTimestamp`] | Section 7 extension | grows on demand |
 //!
+//! Beside the algorithms the crate keeps what they need to be observed:
+//! deliberately broken canaries ([`BrokenCounter`] and friends) for the
+//! model checker and replay to catch, `*_paused` variants of `getTS`
+//! that pause before each shared-memory access, the [`StepGate`] such a
+//! pause can block on, [`ServiceStats`] counters and
+//! [`VpidAllocator`] identities. The adapters that drive the objects
+//! under workloads live in `ts-workloads`.
+//!
 //! # Example
 //!
 //! ```
@@ -42,6 +50,7 @@ pub mod bounded;
 mod broken;
 mod collectmax;
 mod error;
+mod gate;
 mod growable;
 mod ids;
 pub mod model;
@@ -50,24 +59,19 @@ mod simple;
 mod stats;
 mod timestamp;
 mod traits;
-pub mod workload;
 
 pub use bounded::{BoundedTimestamp, OverwritePolicy, PhaseStats};
 pub use broken::{BrokenConstant, BrokenCounter, BrokenStaleRead};
 pub use collectmax::{CollectMax, EpochCollectMax, StampBatch};
 pub use error::{GetTsError, UsedError};
+pub use gate::{GateError, GateProgress, StepGate};
 pub use growable::GrowableTimestamp;
-pub use ids::GetTsId;
+pub use ids::{GetTsId, VpidAllocator};
 pub use recorder::{HistoryRecorder, RecordedCall, RecordedViolation};
 pub use simple::{EpochSimpleOneShot, SimpleOneShot};
 pub use stats::ServiceStats;
 pub use timestamp::{ShardedTimestamp, Timestamp};
 pub use traits::{LongLivedTimestamp, OneShotTimestamp};
-pub use workload::{
-    CollectMaxFast, GateError, GateProgress, GrowableWorkload, HelpingScanWorkload, OneShotPool,
-    OpHistory, ReplayGranularity, ScanMode, StepGate, VpidAllocator, WorkloadOp, WorkloadTarget,
-    WorkloadWorker,
-};
 
 // Re-exported so downstream constructors can name backends and layouts
 // without a direct `ts-register` dependency.

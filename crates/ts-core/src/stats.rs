@@ -1,20 +1,16 @@
 //! Unified hot-path statistics for timestamp issuers.
 //!
-//! PR 5 gave `CollectMax` an ad-hoc `fast_path_hits()` counter so the
-//! cached-max fast path could be observed instead of inferred from
-//! throughput. The service layer multiplies the number of interesting
-//! counters — batch reservations, flat-combining passes, per-shard
-//! issue counts — so this module folds them all into one snapshot
-//! struct, [`ServiceStats`], that every
-//! [`WorkloadTarget`](crate::workload::WorkloadTarget) can surface via
-//! [`service_stats`](crate::workload::WorkloadTarget::service_stats).
+//! The issuers count their hot-path events — fast-path hits, batch
+//! reservations, per-shard issue counts, quorum rounds, scan
+//! recollects — into one snapshot struct, [`ServiceStats`], that every
+//! workload target in `ts-workloads` can surface.
 //! Bench rows then report *ratios* (fast-hit rate, mean batch fill,
 //! shard imbalance) next to throughput, instead of opaque ops/sec.
 
 /// A point-in-time snapshot of an issuer's hot-path counters.
 ///
 /// All counts are cumulative since object creation. Counters that an
-/// object does not have (e.g. `combine_passes` on a plain
+/// object does not have (e.g. `batches` on a
 /// [`CollectMax`](crate::CollectMax)) stay zero; the derived-ratio
 /// methods return `None` when their denominator is zero, so reports
 /// can distinguish "no batching configured" from "batch fill of 0".
@@ -35,7 +31,7 @@
 /// ```
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ServiceStats {
-    /// Issue operations served (one per `getTS`/batch/combined call).
+    /// Issue operations served (one per `getTS` or batch call).
     pub calls: u64,
     /// Timestamps issued (`>= calls` once batching is in play).
     pub stamps: u64,
@@ -47,12 +43,6 @@ pub struct ServiceStats {
     pub batches: u64,
     /// Stamps issued through batch reservations.
     pub batched_stamps: u64,
-    /// Requests whose stamps were issued by a *combiner pass* (the
-    /// flat-combining publication-array drain), including the
-    /// combiner's own request.
-    pub combined_ops: u64,
-    /// Combiner passes that served at least one request.
-    pub combine_passes: u64,
     /// Calls that had to wait for a slot lease before issuing (the
     /// vpid-multiplexing contention signal: `M` clients over `n` slots).
     pub lease_waits: u64,
@@ -117,13 +107,6 @@ impl ServiceStats {
         (self.batches > 0).then(|| self.batched_stamps as f64 / self.batches as f64)
     }
 
-    /// Mean requests served per combiner pass, or `None` without
-    /// combining. A fill near the thread count means one CAS is
-    /// amortized over a full complement of waiting peers.
-    pub fn avg_combine_fill(&self) -> Option<f64> {
-        (self.combine_passes > 0).then(|| self.combined_ops as f64 / self.combine_passes as f64)
-    }
-
     /// Hottest shard's issue count over the per-shard mean (1.0 =
     /// perfectly balanced), or `None` until some shard issued a stamp.
     pub fn shard_imbalance(&self) -> Option<f64> {
@@ -158,8 +141,6 @@ impl ServiceStats {
         self.fast_hits += other.fast_hits;
         self.batches += other.batches;
         self.batched_stamps += other.batched_stamps;
-        self.combined_ops += other.combined_ops;
-        self.combine_passes += other.combine_passes;
         self.lease_waits += other.lease_waits;
         self.shard_stamps.extend_from_slice(&other.shard_stamps);
         self.quorum_rounds += other.quorum_rounds;
@@ -187,7 +168,6 @@ mod tests {
         let empty = ServiceStats::default();
         assert_eq!(empty.fast_hit_ratio(), None);
         assert_eq!(empty.avg_batch_fill(), None);
-        assert_eq!(empty.avg_combine_fill(), None);
         assert_eq!(empty.shard_imbalance(), None);
         assert_eq!(empty.rounds_per_call(), None);
         assert_eq!(empty.repair_ratio(), None);
@@ -201,8 +181,6 @@ mod tests {
             fast_hits: 8,
             batches: 4,
             batched_stamps: 32,
-            combined_ops: 6,
-            combine_passes: 2,
             lease_waits: 1,
             shard_stamps: vec![30, 10],
             quorum_rounds: 20,
@@ -221,7 +199,6 @@ mod tests {
         };
         assert_eq!(stats.fast_hit_ratio(), Some(0.8));
         assert_eq!(stats.avg_batch_fill(), Some(8.0));
-        assert_eq!(stats.avg_combine_fill(), Some(3.0));
         // max 30 over mean 20.
         assert_eq!(stats.shard_imbalance(), Some(1.5));
         assert_eq!(stats.rounds_per_call(), Some(2.0));

@@ -15,6 +15,10 @@ pub fn longlived_lower_bound_int(n: usize) -> usize {
 /// Theorem 1.2: a one-shot timestamp object uses at least
 /// `√(2n) − log n − O(1)` registers (constant taken as 2, matching the
 /// proof's `m − log n − 2`).
+///
+/// As Section 7 remarks, the bound holds verbatim for any historyless
+/// objects (e.g. swap objects) in place of registers, because the
+/// covering processes never step again after their block-writes.
 pub fn oneshot_lower_bound(n: usize) -> f64 {
     ((2 * n) as f64).sqrt() - (n as f64).log2() - 2.0
 }

@@ -63,7 +63,6 @@ mod packed;
 mod pad;
 pub mod reclaim;
 mod stamped;
-mod swap;
 mod traits;
 mod word;
 
@@ -77,6 +76,5 @@ pub use meter::{MeterSnapshot, SpaceMeter};
 pub use packed::{Packable, PackedRegister};
 pub use pad::CachePadded;
 pub use stamped::{Stamp, Stamped, StampedRegister};
-pub use swap::SwapRegister;
 pub use traits::Register;
 pub use word::WordRegister;

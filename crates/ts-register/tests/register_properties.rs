@@ -5,8 +5,7 @@ use std::sync::Arc;
 use proptest::prelude::*;
 use ts_register::{
     ArrayLayout, AtomicRegister, EpochBackend, PackedBackend, PackedRegister, Register,
-    RegisterArray, RegisterBackend, SpaceMeter, StampedRegister, SwapRegister, WordRegister,
-    WriteSummary,
+    RegisterArray, RegisterBackend, SpaceMeter, StampedRegister, WordRegister, WriteSummary,
 };
 
 proptest! {
@@ -17,7 +16,6 @@ proptest! {
         let atomic = AtomicRegister::new(0u64);
         let word = WordRegister::new(0);
         let stamped = StampedRegister::new(0u64);
-        let swap = SwapRegister::new(0u64);
         for &v in &values {
             atomic.write(v);
             prop_assert_eq!(atomic.read(), v);
@@ -25,8 +23,6 @@ proptest! {
             prop_assert_eq!(word.read(), v);
             stamped.write(v);
             prop_assert_eq!(StampedRegister::read(&stamped), v);
-            SwapRegister::write(&swap, v);
-            prop_assert_eq!(SwapRegister::read(&swap), v);
         }
     }
 
@@ -40,17 +36,6 @@ proptest! {
             let s = reg.read_stamped().stamp;
             prop_assert!(s > last);
             last = s;
-        }
-    }
-
-    /// Sequential swaps return the exact previous-value chain.
-    #[test]
-    fn swap_chain_is_exact(values in proptest::collection::vec(any::<u64>(), 1..40)) {
-        let cell = SwapRegister::new(0u64);
-        let mut expected_prev = 0u64;
-        for &v in &values {
-            prop_assert_eq!(cell.swap(v), expected_prev);
-            expected_prev = v;
         }
     }
 

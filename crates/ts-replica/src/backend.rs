@@ -6,9 +6,10 @@
 //! `CollectMax<QuorumBackend>` issues timestamps whose every register
 //! access is a quorum protocol run, `FcfsLock::<QuorumBackend>` takes
 //! its doorway over the modelled network. Registers created inside a
-//! [`with_cluster`](crate::with_cluster) scope join that cluster (and
-//! its fault plan); registers created outside get a private fault-free
-//! `f = 1` cluster each.
+//! [`with_cluster`] scope join that cluster (and its fault plan);
+//! registers created outside get a private fault-free `f = 1` cluster
+//! each. [`ReplicatedCollectMax`] bundles such an object with its
+//! cluster for the workload grid and the benchmark.
 //!
 //! # Contract mapping
 //!
@@ -30,9 +31,11 @@
 use std::marker::PhantomData;
 use std::sync::Arc;
 
+use ts_core::CollectMax;
 use ts_register::{BackendRegister, Packable, Register, RegisterBackend, Stamp, Stamped};
 
-use crate::cluster::{ambient_cluster, Cluster, ClusterConfig, Unavailable};
+use crate::cluster::{ambient_cluster, with_cluster, Cluster, ClusterConfig, Unavailable};
+use crate::net::FaultPlan;
 
 /// Backend marker: quorum-replicated registers over the modelled
 /// network (see the module docs).
@@ -119,6 +122,59 @@ impl<T: Packable> Register<T> for QuorumRegister<T> {
 
     fn write(&self, value: T) {
         self.cluster.abd_write(self.reg, value.pack());
+    }
+}
+
+/// The collect-max timestamp object on quorum-replicated registers:
+/// `CollectMax<QuorumBackend>` bundled with its [`Cluster`] so grid
+/// cells can carry a fault profile and report quorum counters.
+pub struct ReplicatedCollectMax {
+    cluster: Arc<Cluster>,
+    inner: CollectMax<QuorumBackend>,
+    label: &'static str,
+}
+
+impl ReplicatedCollectMax {
+    /// A fault-free replicated collect-max for `processes` slots over
+    /// a cluster tolerating `f` failures. `label` names the grid cell
+    /// ("replicated_f1", ...).
+    pub fn new(processes: usize, f: usize, label: &'static str) -> Self {
+        Self::with_plan(processes, f, label, FaultPlan::default())
+    }
+
+    /// Same, with an explicit fault plan.
+    pub fn with_plan(processes: usize, f: usize, label: &'static str, plan: FaultPlan) -> Self {
+        let cluster = Cluster::new(ClusterConfig::new(f).with_plan(plan));
+        let inner = with_cluster(&cluster, || CollectMax::with_backend(processes));
+        Self {
+            cluster,
+            inner,
+            label,
+        }
+    }
+
+    /// The cluster behind the registers (partition knobs, counters).
+    pub fn cluster(&self) -> &Arc<Cluster> {
+        &self.cluster
+    }
+
+    /// The wrapped collect-max object.
+    pub fn inner(&self) -> &CollectMax<QuorumBackend> {
+        &self.inner
+    }
+
+    /// The grid cell's name.
+    pub fn label(&self) -> &'static str {
+        self.label
+    }
+}
+
+impl std::fmt::Debug for ReplicatedCollectMax {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ReplicatedCollectMax")
+            .field("label", &self.label)
+            .field("cluster", &self.cluster)
+            .finish_non_exhaustive()
     }
 }
 

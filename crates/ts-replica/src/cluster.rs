@@ -54,8 +54,7 @@ use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use ts_core::workload::VpidAllocator;
-use ts_core::{ServiceStats, Timestamp};
+use ts_core::{ServiceStats, Timestamp, VpidAllocator};
 
 use crate::net::{FaultPlan, Lane, NetStats, Pumped, Router, MAX_REPLICAS};
 use crate::proto::{Message, MsgKind, WriteStamp};
@@ -936,7 +935,7 @@ impl Cluster {
 /// every replica interaction is one gated step, so the model
 /// checker's message interleavings replay against these real replicas
 /// through the usual
-/// [`StepGate`](ts_core::workload::StepGate) pacing.
+/// [`StepGate`](ts_core::StepGate) pacing.
 ///
 /// [`QuorumTs::broken`] shrinks the write quorum to a single replica:
 /// reads and writes then no longer intersect, and the explorer finds

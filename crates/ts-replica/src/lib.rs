@@ -21,9 +21,8 @@
 //! | [`net`] | [`Router`]: per-client lanes (in-flight queue, fault stream, op ids, quorum tallies), seeded [`FaultPlan`] knobs, partitions, the per-delivery step hook |
 //! | [`replica`] | [`Replica`]: register-major `(stamp, word)` cells, one lock each, behind a lock-free chunked index; handlers, the armed monotonicity invariant |
 //! | [`cluster`] | [`Cluster`]: ABD reads/writes, retransmission, counters summed over the client lanes, [`with_cluster`] scoping; [`QuorumTs`], the message-step timestamp object |
-//! | [`backend`] | [`QuorumBackend`] / [`QuorumRegister`]: the [`RegisterBackend`](ts_register::RegisterBackend) seam |
+//! | [`backend`] | [`QuorumBackend`] / [`QuorumRegister`]: the [`RegisterBackend`](ts_register::RegisterBackend) seam; [`ReplicatedCollectMax`], a collect-max object bundled with its cluster |
 //! | [`model`] | [`QuorumModel`] / [`QuorumMachine`]: the model twin (one register per replica, one step per message) |
-//! | [`workload`] | [`QuorumTsTarget`], [`ReplicatedCollectMax`]: grid / replay adapters |
 //!
 //! # The model ↔ real loop, now over messages
 //!
@@ -34,7 +33,7 @@
 //! write quorum of [`QuorumModel::broken`]) replays step-for-step
 //! against real replicas through [`QuorumTs::get_ts_paused`], and the
 //! router's [step hook](Router::set_step_hook) puts arbitrary cluster
-//! traffic under the same [`StepGate`](ts_core::workload::StepGate)
+//! traffic under the same [`StepGate`](ts_core::StepGate)
 //! pacing.
 //!
 //! # Example
@@ -61,9 +60,8 @@ pub mod model;
 pub mod net;
 pub mod proto;
 pub mod replica;
-pub mod workload;
 
-pub use backend::{QuorumBackend, QuorumRegister};
+pub use backend::{QuorumBackend, QuorumRegister, ReplicatedCollectMax};
 pub use cluster::{
     with_cluster, Cluster, ClusterConfig, QuorumTs, RestartMode, Unavailable, DEFAULT_DEADLINE,
 };
@@ -71,6 +69,3 @@ pub use model::{QuorumMachine, QuorumModel, BOT};
 pub use net::{FaultPlan, NetStats, Router, StepHook};
 pub use proto::{Message, MsgKind, WriteStamp};
 pub use replica::Replica;
-pub use workload::{
-    QuorumTsCrashTarget, QuorumTsTarget, ReplicatedCollectMax, ReplicatedTryRegisters,
-};

@@ -56,7 +56,7 @@
 //!
 //! [`Router::set_step_hook`] installs a callback invoked **before
 //! every message delivery**, outside any lock. Pointing it at
-//! [`StepGate::pause`](ts_core::workload::StepGate::pause) puts each
+//! [`StepGate::pause`](ts_core::StepGate::pause) puts each
 //! delivery under controller pacing — the same barrier protocol that
 //! replays memory-access schedules — so message interleavings become
 //! steppable and replayable exactly like register accesses.

@@ -8,15 +8,13 @@
 //! writer at a time (the SWMR discipline the substrate assumes) even
 //! with `M >> n` clients.
 //!
-//! Each slot's padded [`SlotCell`] also holds the slot's combining
-//! [`PubCell`] and its call [`Tally`], both owned by the lease.
+//! Each slot's padded [`SlotCell`] also holds the slot's call
+//! [`Tally`], owned by the lease.
 
 use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, PoisonError};
 
 use ts_register::CachePadded;
-
-use crate::combining::PubCell;
 
 /// A slot's share of the service's call counters; `stats()` sums every
 /// slot's tally. Only the slot's lease holder writes them, with [`add`].
@@ -27,8 +25,6 @@ pub(crate) struct Tally {
     pub(crate) batches: AtomicU64,
     pub(crate) batched_stamps: AtomicU64,
     pub(crate) stamps: AtomicU64,
-    pub(crate) combined_ops: AtomicU64,
-    pub(crate) combine_passes: AtomicU64,
 }
 
 /// Adds `n` to a [`Tally`] counter with a plain load + store, no RMW.
@@ -44,7 +40,6 @@ pub(crate) fn add(counter: &AtomicU64, n: u64) {
 pub(crate) struct SlotCell {
     /// `true` while a lease holds the slot.
     claimed: AtomicBool,
-    pub(crate) publication: PubCell,
     pub(crate) tally: Tally,
 }
 

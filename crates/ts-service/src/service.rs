@@ -1,5 +1,4 @@
-//! [`ShardedCollectMax`]: the sharded, batched, combining timestamp
-//! service.
+//! [`ShardedCollectMax`]: the sharded, batched timestamp service.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -212,8 +211,6 @@ impl<B: RegisterBackend<u64>> ShardedCollectMax<B> {
                 stats.fast_hits += get(&t.fast_hits);
                 stats.batches += get(&t.batches);
                 stats.batched_stamps += get(&t.batched_stamps);
-                stats.combined_ops += get(&t.combined_ops);
-                stats.combine_passes += get(&t.combine_passes);
                 stamps += get(&t.stamps);
             }
             stats.stamps += stamps;
@@ -233,17 +230,6 @@ impl<B: RegisterBackend<u64>> ShardedCollectMax<B> {
         let res = sh.get_batch(lease.slot(), floor, u64::from(k));
         drop(lease);
         ShardBatch::new(res.first, res.last, shard as u32)
-    }
-
-    /// Issues `k` stamps on `shard` above `floor` through the
-    /// flat-combining array.
-    pub(crate) fn issue_combined(&self, shard: usize, floor: u64, k: u32) -> ShardBatch {
-        assert!(k >= 1, "request size must be at least 1");
-        let sh = &self.shards[shard];
-        let lease = sh.pool.lease();
-        let (first, last) = sh.get_combined(lease.slot(), floor, u64::from(k));
-        drop(lease);
-        ShardBatch::new(first, last, shard as u32)
     }
 }
 
@@ -300,7 +286,7 @@ mod tests {
             for (j, s) in sessions.iter_mut().enumerate() {
                 s.migrate((round + j) % 3);
                 let stamps: Vec<_> = if j % 2 == 0 {
-                    vec![s.get_ts(), s.get_ts_combined()]
+                    vec![s.get_ts(), s.get_ts()]
                 } else {
                     s.get_ts_batch(1 + j as u32).collect()
                 };
@@ -315,7 +301,6 @@ mod tests {
         // Per 6 rounds: sessions 0 and 2 make 2 calls, 1 and 3 one batch.
         assert_eq!(stats.calls, 6 * 6);
         assert_eq!((stats.batches, stats.batched_stamps), (12, 6 * (2 + 4)));
-        assert_eq!((stats.combined_ops, stats.combine_passes), (12, 12));
         assert_eq!(stats.fast_hits, stats.calls, "uncontended = all fast");
     }
 

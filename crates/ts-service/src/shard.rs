@@ -1,6 +1,6 @@
 //! One shard domain: a packed `(epoch, local)` reservation word, a bank
 //! of single-writer registers, and a slot pool whose per-slot cells hold
-//! the combining array.
+//! the call tallies.
 //!
 //! # The reservation word
 //!
@@ -25,13 +25,12 @@
 //! fallback on this path — reservation-issued stamps are globally
 //! unique, not merely ordered.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use ts_register::{
     ArrayLayout, BackendRegister, CachePadded, Register, RegisterBackend, Slots, SpaceMeter,
 };
 
-use crate::combining::backoff;
 use crate::pool::{add, SlotPool};
 
 /// Largest value of the packed word's `local` half.
@@ -81,11 +80,9 @@ pub(crate) struct Shard<B: RegisterBackend<u64>> {
     /// Single-writer `epoch` registers, paired with `locals`.
     epochs: Slots<B::Reg>,
     meter: SpaceMeter,
-    /// Slot leases. Slot `i`'s cell also holds its flat-combining
-    /// publication cell and call tally, both owned by the lease.
+    /// Slot leases. Slot `i`'s cell also holds its call tally, owned
+    /// by the lease.
     pub(crate) pool: SlotPool,
-    /// The combiner try-lock.
-    combiner: CachePadded<AtomicBool>,
 }
 
 impl<B: RegisterBackend<u64>> Shard<B> {
@@ -99,7 +96,6 @@ impl<B: RegisterBackend<u64>> Shard<B> {
             // slot` for its epoch partner.
             meter: SpaceMeter::new(2 * slots),
             pool: SlotPool::new(slots),
-            combiner: CachePadded::new(AtomicBool::new(false)),
         }
     }
 
@@ -193,80 +189,6 @@ impl<B: RegisterBackend<u64>> Shard<B> {
         res
     }
 
-    /// Requests `k` stamps through the flat-combining array: publishes
-    /// the request in the leased slot's cell, then either a peer
-    /// combiner serves it or this caller wins the combiner lock and
-    /// drains every published request with one reservation. Returns the
-    /// granted range's first and last packed words.
-    pub(crate) fn get_combined(&self, slot: usize, floor: u64, k: u64) -> (u64, u64) {
-        // Pre-raise the floor so *whichever* combiner serves this
-        // request reserves above it.
-        if floor != 0 {
-            self.raise_floor(floor);
-        }
-        let cell = &self.pool.cells[slot].publication;
-        cell.publish(k);
-        let mut spins = 0;
-        let first = loop {
-            if let Some(first) = cell.poll() {
-                break first;
-            }
-            if !self.combiner.load(Ordering::Relaxed)
-                && self
-                    .combiner
-                    .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
-                    .is_ok()
-            {
-                self.combine_pass(slot);
-                self.combiner.store(false, Ordering::Release);
-                // Our request was either drained by this pass or served
-                // by the previous lock holder before we acquired it;
-                // either way the grant is visible now.
-                let first = cell.poll().expect("combiner pass serves itself");
-                break first;
-            }
-            backoff(&mut spins);
-        };
-        let last = first + (k - 1);
-        self.publish(slot, last);
-        add(&self.pool.cells[slot].tally.calls, 1);
-        (first, last)
-    }
-
-    /// One combiner pass (lock held by the caller, who leases `slot`):
-    /// drains every published request, reserves the sum with one CAS,
-    /// distributes consecutive sub-ranges and counts the pass in the
-    /// caller's tally. Does nothing if no request was pending (the
-    /// caller's own was served by the previous lock holder).
-    fn combine_pass(&self, slot: usize) {
-        let cells = &self.pool.cells;
-        let mut requests: Vec<(usize, u64)> = Vec::with_capacity(cells.len());
-        let mut total = 0u64;
-        for (i, cell) in cells.iter().enumerate() {
-            let k = cell.publication.pending();
-            if k > 0 {
-                requests.push((i, k));
-                total += k;
-            }
-        }
-        if total == 0 {
-            return;
-        }
-        // Floors were folded by each peer before publishing, so the
-        // pass reserves with floor 0.
-        let res = self.reserve(0, total);
-        let mut next = res.first;
-        for (i, k) in requests.iter().copied() {
-            cells[i].publication.serve(next);
-            next += k;
-        }
-        let t = &cells[slot].tally;
-        add(&t.combine_passes, 1);
-        add(&t.combined_ops, requests.len() as u64);
-        add(&t.stamps, total);
-        add(&t.fast_hits, u64::from(res.fast));
-    }
-
     /// Collect over the register bank: the largest published word, or
     /// `None` if nothing was published yet. A read-only observation
     /// pass (`2n` metered reads, recorded as one sweep over the
@@ -294,7 +216,6 @@ impl<B: RegisterBackend<u64>> Shard<B> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pool::Tally;
     use ts_register::PackedBackend;
 
     fn word(epoch: u32, local: u32) -> u64 {
@@ -346,61 +267,5 @@ mod tests {
         assert_eq!((res.first, res.last), (word(8, 1), word(8, 8)));
         // All stamps of the reservation share the bumped epoch.
         assert_eq!(res.first >> 32, res.last >> 32);
-    }
-
-    #[test]
-    fn solo_combining_call_combines_itself() {
-        let shard = Shard::<PackedBackend>::new(2);
-        let grant = shard.get_combined(0, 0, 1);
-        assert_eq!(grant, (word(0, 1), word(0, 1)));
-        // No peer: the caller combined its own request, first try.
-        let t = &shard.pool.cells[0].tally;
-        let pass = [&t.combine_passes, &t.combined_ops, &t.stamps, &t.fast_hits];
-        assert_eq!(pass.map(|c| c.load(Ordering::Relaxed)), [1; 4]);
-        // The grant was published to the slot register.
-        assert_eq!(shard.collect_max_word(), Some(word(0, 1)));
-        // A second call with the first stamp as floor lands above it.
-        let grant = shard.get_combined(1, word(0, 1), 1);
-        assert_eq!(grant.0, word(0, 2));
-    }
-
-    #[test]
-    fn concurrent_combining_grants_unique_consecutive_ranges() {
-        let shard = std::sync::Arc::new(Shard::<PackedBackend>::new(4));
-        let threads = 4;
-        let rounds = 200;
-        let mut handles = Vec::new();
-        for _ in 0..threads {
-            let shard = std::sync::Arc::clone(&shard);
-            handles.push(std::thread::spawn(move || {
-                let mut got = Vec::with_capacity(rounds);
-                for i in 0..rounds {
-                    let k = 1 + (i % 3) as u64;
-                    let lease = shard.pool.lease();
-                    got.push(shard.get_combined(lease.slot(), 0, k));
-                    drop(lease);
-                }
-                got
-            }));
-        }
-        let mut seen = std::collections::HashSet::new();
-        for handle in handles {
-            for (first, last) in handle.join().expect("combining thread") {
-                for w in first..=last {
-                    assert!(seen.insert(w), "stamp word {w:#x} granted twice");
-                }
-            }
-        }
-        let total = |f: fn(&Tally) -> &AtomicU64| -> u64 {
-            let cells = shard.pool.cells.iter();
-            cells.map(|c| f(&c.tally).load(Ordering::Relaxed)).sum()
-        };
-        assert_eq!(
-            total(|t| &t.stamps),
-            seen.len() as u64,
-            "passes count every stamp"
-        );
-        assert_eq!(total(|t| &t.calls), (threads * rounds) as u64);
-        assert_eq!(total(|t| &t.combined_ops), (threads * rounds) as u64);
     }
 }

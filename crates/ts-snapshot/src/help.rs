@@ -1,7 +1,7 @@
 //! Wait-free helping for the adaptive scan: era-tagged help records
 //! published by writers, adopted by starved scanners.
 //!
-//! The dirty-block ladder of [`double_collect_scan`](crate::double_collect_scan)
+//! The dirty-block ladder of [`adaptive_scan`](crate::adaptive_scan)
 //! makes each retry cheap (O(dirty) instead of O(n)) but not *bounded*:
 //! a writer storm can keep failing a scanner's validation forever. This
 //! module adds the classic Afek-et-al.-style helping construction on

@@ -9,17 +9,19 @@
 //! because every `getTS` performs fewer than `m` writes, so the total
 //! number of interfering writes is finite.
 //!
-//! This crate provides:
+//! This crate provides one scan entry point per guarantee:
 //!
-//! - [`double_collect_scan`] / [`try_scan`] / [`adaptive_scan`] — the
-//!   scan used by Algorithm 4, operating on a
-//!   [`ts_register::RegisterArray`] of either register backend (epoch
-//!   heap cells or word-inlined packed registers), with dirty-block
-//!   adaptive retries (O(dirty) per retry instead of O(n));
+//! - [`adaptive_scan`] — the lock-free scan used by Algorithm 4,
+//!   operating on a [`ts_register::RegisterArray`] of either register
+//!   backend (epoch heap cells or word-inlined packed registers), with
+//!   dirty-block adaptive retries (O(dirty) per retry instead of O(n));
 //! - [`helping_scan`] / [`helping_write`] / [`HelpBoard`] — the
 //!   wait-free upgrade: writers under distress publish era-tagged
 //!   views a starved scanner adopts, bounding scan retries by a
 //!   tunable [`ScanPolicy::starvation_bound`];
+//! - [`classic_double_collect_scan`] — the textbook full-sweep double
+//!   collect, kept as the baseline the writer-storm bench cells measure
+//!   the adaptive ladder against;
 //! - [`WaitFreeSnapshot`] — the full single-writer atomic snapshot object
 //!   of Afek et al., wait-free unconditionally thanks to embedded views.
 //!
@@ -27,11 +29,11 @@
 //!
 //! ```
 //! use ts_register::RegisterArray;
-//! use ts_snapshot::double_collect_scan;
+//! use ts_snapshot::adaptive_scan;
 //!
 //! let array: RegisterArray<u64> = RegisterArray::new(4, 0);
 //! array.write(2, 9).unwrap();
-//! let view = double_collect_scan(&array);
+//! let (view, _outcome) = adaptive_scan(&array);
 //! assert_eq!(view.values()[2], 9);
 //! ```
 
@@ -47,9 +49,6 @@ pub use help::{
     helping_scan, helping_scan_paused, helping_write, storm_write_paused, HelpBoard, ScanPolicy,
     WriteOutcome,
 };
-pub use scan::{
-    adaptive_scan, classic_double_collect_scan, double_collect_scan, try_scan, ScanInterrupted,
-    ScanOutcome,
-};
+pub use scan::{adaptive_scan, classic_double_collect_scan, ScanOutcome};
 pub use snapshot::{Updater, WaitFreeSnapshot};
 pub use view::View;

@@ -1,32 +1,9 @@
 //! The double-collect scan of Afek et al. (1993), with a
 //! dirty-word-validated fast path and dirty-block adaptive retries.
 
-use std::error::Error;
-use std::fmt;
-
 use ts_register::{RegisterArray, RegisterBackend, Stamped, WriteSummary};
 
 use crate::view::View;
-
-/// Error returned by [`try_scan`] when the attempt budget is exhausted
-/// before a validated view was obtained.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ScanInterrupted {
-    /// Number of collects performed before giving up.
-    pub collects: usize,
-}
-
-impl fmt::Display for ScanInterrupted {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "scan interrupted: no successful double collect within {} collects",
-            self.collects
-        )
-    }
-}
-
-impl Error for ScanInterrupted {}
 
 /// How a scan call resolved: which ladder rungs it climbed and, for
 /// [`helping_scan`](crate::helping_scan), whether it adopted a helped
@@ -51,8 +28,8 @@ pub struct ScanOutcome {
 /// The adaptive scan engine: one initial collect, then dirty-block
 /// retry passes that re-read only registers whose block words moved.
 ///
-/// Shared by [`double_collect_scan`], [`try_scan`] and the helping
-/// scan (`crate::help`), which interleaves board polls between passes.
+/// Shared by [`adaptive_scan`] and the helping scan (`crate::help`),
+/// which interleaves board polls between passes.
 ///
 /// # The ladder, and why each rung is linearizable
 ///
@@ -191,7 +168,9 @@ where
 }
 
 /// Repeatedly collects `array` until a collect is validated, and returns
-/// that view.
+/// that view with the per-call [`ScanOutcome`]: how many dirty-block
+/// retry passes ran and how many registers they patched. Zero passes
+/// means the first collect validated.
 ///
 /// # Validation ladder
 ///
@@ -233,23 +212,13 @@ where
 ///
 /// ```
 /// use ts_register::RegisterArray;
-/// use ts_snapshot::double_collect_scan;
+/// use ts_snapshot::adaptive_scan;
 ///
 /// let array: RegisterArray<i32> = RegisterArray::new(2, -1);
-/// let view = double_collect_scan(&array);
+/// let (view, outcome) = adaptive_scan(&array);
 /// assert_eq!(view.values(), vec![-1, -1]);
+/// assert_eq!(outcome.recollect_passes, 0, "a quiescent array validates at once");
 /// ```
-pub fn double_collect_scan<T, B>(array: &RegisterArray<T, B>) -> View<T>
-where
-    T: Clone + Send + Sync,
-    B: RegisterBackend<T>,
-{
-    adaptive_scan(array).0
-}
-
-/// [`double_collect_scan`] with the per-call [`ScanOutcome`] exposed:
-/// how many dirty-block retry passes ran and how many registers they
-/// patched. Zero passes means the first collect validated.
 pub fn adaptive_scan<T, B>(array: &RegisterArray<T, B>) -> (View<T>, ScanOutcome)
 where
     T: Clone + Send + Sync,
@@ -306,49 +275,6 @@ where
     }
 }
 
-/// Like [`double_collect_scan`], but gives up after `max_collects`
-/// register sweeps (the initial value sweep and each dirty-block retry
-/// pass count as one sweep each).
-///
-/// Useful when the bounded-interference argument does not apply (e.g.
-/// scanning an array written by an unbounded workload) and no help
-/// board is wired up.
-///
-/// # Errors
-///
-/// Returns [`ScanInterrupted`] if no sweep validated within the budget.
-///
-/// # Panics
-///
-/// Panics if `max_collects < 2` (the stamp-validation rung needs two
-/// sweeps; the dirty-word rung can succeed after one, but a budget below
-/// two could not guarantee *any* validation under interference).
-pub fn try_scan<T, B>(
-    array: &RegisterArray<T, B>,
-    max_collects: usize,
-) -> Result<View<T>, ScanInterrupted>
-where
-    T: Clone + Send + Sync,
-    B: RegisterBackend<T>,
-{
-    assert!(
-        max_collects >= 2,
-        "a double collect needs at least 2 sweeps"
-    );
-    let mut scanner = AdaptiveScanner::new(array);
-    let mut done = 1usize; // the initial collect
-    while !scanner.is_validated() {
-        if done >= max_collects {
-            return Err(ScanInterrupted {
-                collects: max_collects,
-            });
-        }
-        scanner.step_pass();
-        done += 1;
-    }
-    Ok(scanner.into_view())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -361,7 +287,7 @@ mod tests {
         let array: RegisterArray<u64> = RegisterArray::new(3, 0);
         array.write(0, 1).unwrap();
         array.write(2, 3).unwrap();
-        let view = double_collect_scan(&array);
+        let view = adaptive_scan(&array).0;
         assert_eq!(view.values(), vec![1, 0, 3]);
     }
 
@@ -384,20 +310,6 @@ mod tests {
         assert_eq!(outcome.recollect_passes, 0);
         assert_eq!(outcome.patched_registers, 0);
         assert!(!outcome.helped);
-    }
-
-    #[test]
-    fn try_scan_succeeds_when_quiescent() {
-        let array: RegisterArray<u64> = RegisterArray::new(2, 0);
-        let view = try_scan(&array, 2).unwrap();
-        assert_eq!(view.values(), vec![0, 0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least 2 sweeps")]
-    fn try_scan_rejects_budget_below_two() {
-        let array: RegisterArray<u64> = RegisterArray::new(1, 0);
-        let _ = try_scan(&array, 1);
     }
 
     #[test]
@@ -478,7 +390,7 @@ mod tests {
                 }
             });
             for _ in 0..200 {
-                let view = double_collect_scan(&array);
+                let view = adaptive_scan(&array).0;
                 let v = view.values();
                 assert!(
                     v[0] >= v[1] && v[0] - v[1] <= 1,
@@ -508,7 +420,7 @@ mod tests {
                 }
             });
             for _ in 0..200 {
-                let view = double_collect_scan(&array);
+                let view = adaptive_scan(&array).0;
                 let v = view.values();
                 assert!(
                     v[0] >= v[1] && v[0] - v[1] <= 1,
@@ -542,7 +454,7 @@ mod tests {
                 }
             });
             for _ in 0..200 {
-                let view = double_collect_scan(&array);
+                let view = adaptive_scan(&array).0;
                 let v = view.values();
                 assert!(
                     v[0] >= v[1] && v[0] - v[1] <= 1,
@@ -585,15 +497,5 @@ mod tests {
             stop.store(true, Ordering::Relaxed);
         })
         .unwrap();
-    }
-
-    #[test]
-    fn interrupted_scan_reports_budget() {
-        // Heavy writer keeps flipping a register; with a tiny budget the
-        // scan may or may not fail, so drive it deterministically by
-        // writing between the collects is not possible from outside —
-        // instead just check the error type formatting.
-        let err = ScanInterrupted { collects: 7 };
-        assert!(err.to_string().contains("7 collects"));
     }
 }

@@ -5,8 +5,8 @@ use std::sync::Arc;
 use proptest::prelude::*;
 use ts_register::RegisterArray;
 use ts_snapshot::{
-    adaptive_scan, classic_double_collect_scan, double_collect_scan, helping_scan, helping_write,
-    try_scan, HelpBoard, ScanPolicy, View, WaitFreeSnapshot,
+    adaptive_scan, classic_double_collect_scan, helping_scan, helping_write, HelpBoard, ScanPolicy,
+    View, WaitFreeSnapshot,
 };
 
 proptest! {
@@ -24,10 +24,10 @@ proptest! {
             array.write(idx, v).unwrap();
             expected[idx] = v;
         }
-        let view = double_collect_scan(&array);
+        let (view, _) = adaptive_scan(&array);
         prop_assert_eq!(view.values(), expected);
-        // try_scan agrees when quiescent.
-        let view2 = try_scan(&array, 2).unwrap();
+        // The classic full-sweep scan agrees when quiescent.
+        let (view2, _) = classic_double_collect_scan(&array);
         prop_assert!(view.same_writes(&view2));
     }
 
@@ -129,7 +129,7 @@ fn scan_view_is_a_consistent_cut_of_two_linked_registers() {
             let a = Arc::clone(&array);
             s.spawn(move |_| {
                 for _ in 0..500 {
-                    let v = double_collect_scan(&a).values();
+                    let v = adaptive_scan(&a).0.values();
                     let (r0, r1) = (v[0], v[1]);
                     assert!(
                         r1 == 2 * r0 || (r0 > 0 && r1 == 2 * (r0 - 1)),

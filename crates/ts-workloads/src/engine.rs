@@ -15,7 +15,7 @@
 //!
 //! Churn scenarios run each worker life on its own short-lived OS
 //! thread (same slot, fresh
-//! [`WorkloadWorker`](ts_core::workload::WorkloadWorker)); when a
+//! [`WorkloadWorker`](crate::WorkloadWorker)); when a
 //! life's thread
 //! exits, its epoch-backend garbage is orphaned, and the supervising
 //! slot thread immediately calls [`ts_register::reclaim::flush`] to
@@ -50,11 +50,10 @@ use std::time::{Duration, Instant};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use ts_core::workload::{WorkloadOp, WorkloadTarget};
-
 use crate::faults::Campaign;
 use crate::histogram::LatencyHistogram;
 use crate::scenario::{Arrival, Scenario};
+use crate::target::{WorkloadOp, WorkloadTarget};
 
 /// Per-run knobs that are not part of the traffic shape.
 #[derive(Debug, Clone, Copy)]

@@ -35,7 +35,7 @@ use std::time::{Duration, Instant};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use ts_core::workload::StepGate;
+use ts_core::StepGate;
 use ts_replica::{Cluster, RestartMode};
 
 /// One fault injection.

@@ -1,31 +1,34 @@
-//! Workload adapters: the replicated objects as
-//! [`WorkloadTarget`]s for the engine, the replayer and the bench grid.
+//! [`WorkloadTarget`]s for the replicated objects of `ts-replica`.
 //!
-//! Two targets live here:
-//!
-//! * [`QuorumTsTarget`] — [`QuorumTs`] under the
-//!   **message-step** granularity: each gated sub-step is one replica
-//!   interaction, so checked-in model traces (including the broken
-//!   write-quorum counterexample) replay against real replicas.
-//! * [`ReplicatedCollectMax`] — a `CollectMax<QuorumBackend>` bundled
-//!   with its cluster: the paper's collect-max algorithm where every
-//!   register access is a quorum protocol run. Its
+//! - [`QuorumTsTarget`] — [`QuorumTs`] under the **message-step**
+//!   granularity: each gated sub-step is one replica interaction, so
+//!   checked-in model traces (including the broken write-quorum
+//!   counterexample) replay against real replicas.
+//! - [`QuorumTsCrashTarget`] — the same clients plus a crash adversary
+//!   slot.
+//! - [`ReplicatedTryRegisters`] — raw quorum registers on the fallible
+//!   client path, for majority-loss chaos cells.
+//! - [`ReplicatedCollectMax`] — the paper's collect-max algorithm where
+//!   every register access is a quorum protocol run. Its
 //!   [`service_stats`](WorkloadTarget::service_stats) snapshot merges
-//!   the object's counters with the cluster's quorum counters, so
-//!   bench rows show rounds-per-call and repair ratios next to
-//!   throughput.
+//!   the object's counters with the cluster's quorum counters, so bench
+//!   rows show rounds-per-call and repair ratios next to throughput.
 
 use std::sync::Arc;
 
-use ts_core::workload::StepGate;
-use ts_core::{
-    CollectMax, OpHistory, ReplayGranularity, ServiceStats, Timestamp, WorkloadOp, WorkloadTarget,
-    WorkloadWorker,
+use ts_core::{ServiceStats, StepGate, Timestamp};
+use ts_replica::{Cluster, ClusterConfig, QuorumTs, ReplicatedCollectMax, RestartMode};
+
+use crate::target::{
+    Client, Order, ReplayGranularity, Worker, WorkloadOp, WorkloadTarget, WorkloadWorker,
 };
 
-use crate::backend::QuorumBackend;
-use crate::cluster::{with_cluster, Cluster, ClusterConfig, QuorumTs, RestartMode};
-use crate::net::FaultPlan;
+/// The cluster's quorum counters as a [`ServiceStats`] snapshot.
+fn cluster_stats(cluster: &Cluster) -> Option<ServiceStats> {
+    let mut stats = ServiceStats::default();
+    cluster.fill_stats(&mut stats);
+    Some(stats)
+}
 
 /// [`QuorumTs`] as a workload target: one slot per process, one gated
 /// sub-step per replica interaction.
@@ -64,69 +67,36 @@ impl QuorumTsTarget {
     }
 }
 
-struct QuorumTsWorker<'a> {
+struct QuorumTsClient<'a> {
     ts: &'a QuorumTs,
     slot: usize,
-    history: OpHistory<Timestamp>,
 }
 
-impl QuorumTsWorker<'_> {
-    fn record(&mut self, t: Timestamp) {
-        if self.ts.is_correct() {
-            if let Some(p) = self.history.last() {
-                assert!(
-                    Timestamp::compare(&p, &t),
-                    "quorum_ts violated the timestamp property: {p} !< {t}"
-                );
-            }
-        }
-        self.history.push(t);
+impl Client for QuorumTsClient<'_> {
+    type Stamp = Timestamp;
+
+    fn issue(&mut self, pause: Option<&mut dyn FnMut()>) -> (Timestamp, Timestamp) {
+        let t = match pause {
+            Some(pause) => self.ts.get_ts_paused(self.slot, pause),
+            None => self.ts.get_ts(self.slot),
+        };
+        (t, t)
+    }
+
+    fn observe(&mut self) -> bool {
+        std::hint::black_box(self.ts.read_max());
+        true
     }
 }
 
-impl WorkloadWorker for QuorumTsWorker<'_> {
-    fn step(&mut self, op: WorkloadOp) -> WorkloadOp {
-        match op {
-            WorkloadOp::GetTs => {
-                let t = self.ts.get_ts(self.slot);
-                self.record(t);
-                WorkloadOp::GetTs
-            }
-            WorkloadOp::Scan => {
-                std::hint::black_box(self.ts.read_max());
-                WorkloadOp::Scan
-            }
-            WorkloadOp::Compare => match self.history.pair() {
-                Some((a, b)) => {
-                    assert!(
-                        std::hint::black_box(Timestamp::compare(&a, &b)),
-                        "quorum_ts history out of order: {a} !< {b}"
-                    );
-                    WorkloadOp::Compare
-                }
-                None => self.step(WorkloadOp::GetTs),
-            },
-        }
-    }
-
-    fn step_gated(&mut self, op: WorkloadOp, gate: &StepGate) -> WorkloadOp {
-        match op {
-            WorkloadOp::GetTs => {
-                gate.pause(); // op start
-                let t = self.ts.get_ts_paused(self.slot, || gate.pause());
-                self.record(t);
-                WorkloadOp::GetTs
-            }
-            other => {
-                gate.pause();
-                self.step(other)
-            }
-        }
-    }
-
-    fn last_ts(&self) -> Option<Timestamp> {
-        self.history.last()
-    }
+/// The worker of one client slot of `ts`.
+fn quorum_ts_worker(ts: &QuorumTs, slot: usize) -> Box<dyn WorkloadWorker + '_> {
+    let (label, order) = if ts.is_correct() {
+        ("quorum_ts", Order::Checked)
+    } else {
+        ("quorum_ts_broken", Order::Unchecked)
+    };
+    Worker::boxed(label, order, QuorumTsClient { ts, slot })
 }
 
 impl WorkloadTarget for QuorumTsTarget {
@@ -148,11 +118,7 @@ impl WorkloadTarget for QuorumTsTarget {
 
     fn worker<'a>(&'a self, slot: usize) -> Box<dyn WorkloadWorker + 'a> {
         assert!(slot < self.processes, "slot {slot} out of range");
-        Box::new(QuorumTsWorker {
-            ts: &self.ts,
-            slot,
-            history: OpHistory::new(),
-        })
+        quorum_ts_worker(&self.ts, slot)
     }
 
     fn replay_granularity(&self) -> ReplayGranularity {
@@ -160,14 +126,12 @@ impl WorkloadTarget for QuorumTsTarget {
     }
 
     fn service_stats(&self) -> Option<ServiceStats> {
-        let mut stats = ServiceStats::default();
-        self.ts.cluster().fill_stats(&mut stats);
-        Some(stats)
+        cluster_stats(self.ts.cluster())
     }
 }
 
 /// The skip-resync crash counterexample as a replayable target:
-/// [`QuorumModel::crash_skip_resync`](crate::QuorumModel::crash_skip_resync)
+/// [`QuorumModel::crash_skip_resync`](ts_replica::QuorumModel::crash_skip_resync)
 /// mapped onto real replicas.
 ///
 /// Client slots run the **correct** [`QuorumTs`] protocol at
@@ -216,17 +180,11 @@ struct CrashAdversaryWorker<'a> {
     victim: u32,
 }
 
-impl CrashAdversaryWorker<'_> {
-    fn crash_and_amnesiac_restart(&self) {
+impl WorkloadWorker for CrashAdversaryWorker<'_> {
+    fn step(&mut self, op: WorkloadOp) -> WorkloadOp {
         self.cluster.crash(self.victim);
         self.cluster
             .restart_skip_resync(self.victim, RestartMode::Wipe);
-    }
-}
-
-impl WorkloadWorker for CrashAdversaryWorker<'_> {
-    fn step(&mut self, op: WorkloadOp) -> WorkloadOp {
-        self.crash_and_amnesiac_restart();
         op
     }
 
@@ -265,11 +223,7 @@ impl WorkloadTarget for QuorumTsCrashTarget {
                 victim: self.victim,
             });
         }
-        Box::new(QuorumTsWorker {
-            ts: &self.ts,
-            slot,
-            history: OpHistory::new(),
-        })
+        quorum_ts_worker(&self.ts, slot)
     }
 
     fn replay_granularity(&self) -> ReplayGranularity {
@@ -277,17 +231,15 @@ impl WorkloadTarget for QuorumTsCrashTarget {
     }
 
     fn service_stats(&self) -> Option<ServiceStats> {
-        let mut stats = ServiceStats::default();
-        self.ts.cluster().fill_stats(&mut stats);
-        Some(stats)
+        cluster_stats(self.ts.cluster())
     }
 }
 
 /// Raw quorum registers driven through the **fallible** client path:
 /// each worker slot owns one replicated register and issues
 /// [`Cluster::try_abd_write`] / [`Cluster::try_abd_read`], treating
-/// [`Unavailable`](crate::Unavailable) as a counted outcome instead of
-/// a panic.
+/// [`Unavailable`](ts_replica::Unavailable) as a counted outcome
+/// instead of a panic.
 ///
 /// This is the target for majority-loss chaos cells: the infallible
 /// [`RegisterBackend`](ts_register::RegisterBackend) seam (used by
@@ -392,63 +344,13 @@ impl WorkloadTarget for ReplicatedTryRegisters {
     }
 
     fn service_stats(&self) -> Option<ServiceStats> {
-        let mut stats = ServiceStats::default();
-        self.cluster.fill_stats(&mut stats);
-        Some(stats)
-    }
-}
-
-/// The collect-max timestamp object on quorum-replicated registers:
-/// `CollectMax<QuorumBackend>` bundled with its [`Cluster`] so grid
-/// cells can carry a fault profile and report quorum counters.
-pub struct ReplicatedCollectMax {
-    cluster: Arc<Cluster>,
-    inner: CollectMax<QuorumBackend>,
-    label: &'static str,
-}
-
-impl ReplicatedCollectMax {
-    /// A fault-free replicated collect-max for `processes` slots over
-    /// a cluster tolerating `f` failures. `label` names the grid cell
-    /// ("replicated_f1", ...).
-    pub fn new(processes: usize, f: usize, label: &'static str) -> Self {
-        Self::with_plan(processes, f, label, FaultPlan::default())
-    }
-
-    /// Same, with an explicit fault plan.
-    pub fn with_plan(processes: usize, f: usize, label: &'static str, plan: FaultPlan) -> Self {
-        let cluster = Cluster::new(ClusterConfig::new(f).with_plan(plan));
-        let inner = with_cluster(&cluster, || CollectMax::with_backend(processes));
-        Self {
-            cluster,
-            inner,
-            label,
-        }
-    }
-
-    /// The cluster behind the registers (partition knobs, counters).
-    pub fn cluster(&self) -> &Arc<Cluster> {
-        &self.cluster
-    }
-
-    /// The wrapped collect-max object.
-    pub fn inner(&self) -> &CollectMax<QuorumBackend> {
-        &self.inner
-    }
-}
-
-impl std::fmt::Debug for ReplicatedCollectMax {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ReplicatedCollectMax")
-            .field("label", &self.label)
-            .field("cluster", &self.cluster)
-            .finish_non_exhaustive()
+        cluster_stats(&self.cluster)
     }
 }
 
 impl WorkloadTarget for ReplicatedCollectMax {
     fn object(&self) -> &'static str {
-        self.label
+        self.label()
     }
 
     fn backend(&self) -> &'static str {
@@ -456,20 +358,20 @@ impl WorkloadTarget for ReplicatedCollectMax {
     }
 
     fn slots(&self) -> usize {
-        self.inner.slots()
+        self.inner().slots()
     }
 
     fn worker<'a>(&'a self, slot: usize) -> Box<dyn WorkloadWorker + 'a> {
-        self.inner.worker(slot)
+        self.inner().worker(slot)
     }
 
     fn replay_granularity(&self) -> ReplayGranularity {
-        self.inner.replay_granularity()
+        self.inner().replay_granularity()
     }
 
     fn service_stats(&self) -> Option<ServiceStats> {
-        let mut stats = self.inner.stats();
-        self.cluster.fill_stats(&mut stats);
+        let mut stats = self.inner().stats();
+        self.cluster().fill_stats(&mut stats);
         Some(stats)
     }
 }
@@ -479,35 +381,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn quorum_ts_target_steps_and_tracks_history() {
-        let target = QuorumTsTarget::new(2, 1);
-        assert_eq!(target.object(), "quorum_ts");
-        assert_eq!(target.backend(), "quorum");
-        assert_eq!(target.slots(), 2);
-        assert_eq!(target.replay_granularity(), ReplayGranularity::MemoryAccess);
-        let mut w = target.worker(0);
-        assert_eq!(w.step(WorkloadOp::GetTs), WorkloadOp::GetTs);
-        // Compare before two stamps exist substitutes a GetTs.
-        assert_eq!(w.step(WorkloadOp::Compare), WorkloadOp::GetTs);
-        assert_eq!(w.step(WorkloadOp::Compare), WorkloadOp::Compare);
-        assert_eq!(w.step(WorkloadOp::Scan), WorkloadOp::Scan);
-        assert_eq!(w.last_ts(), Some(Timestamp::scalar(2)));
-    }
-
-    #[test]
-    fn broken_target_reports_its_own_object_label() {
-        let target = QuorumTsTarget::broken(2, 1);
-        assert_eq!(target.object(), "quorum_ts_broken");
-        let mut w = target.worker(1);
-        w.step(WorkloadOp::GetTs);
-        assert!(w.last_ts().is_some());
-    }
-
-    #[test]
     fn replicated_collect_max_issues_through_quorums() {
         let target = ReplicatedCollectMax::new(2, 1, "replicated_f1");
-        assert_eq!(target.object(), "replicated_f1");
-        assert_eq!(target.backend(), "quorum");
         let mut w = target.worker(0);
         w.step(WorkloadOp::GetTs);
         w.step(WorkloadOp::GetTs);
@@ -581,27 +456,5 @@ mod tests {
             "the adversary restarts what it crashes"
         );
         assert_eq!(cluster.resynced_registers(), 0, "resync was skipped");
-    }
-
-    #[test]
-    fn gated_quorum_ts_announces_message_steps() {
-        let target = Arc::new(QuorumTsTarget::new(1, 1));
-        let gate = Arc::new(StepGate::new());
-        let t2 = Arc::clone(&target);
-        let g2 = Arc::clone(&gate);
-        let handle = std::thread::spawn(move || {
-            let mut w = t2.worker(0);
-            w.step_gated(WorkloadOp::GetTs, &g2);
-            g2.finish();
-        });
-        // Op start + 2 reads + 2 installs = 5 announced sub-steps.
-        for step in 1..=5 {
-            gate.release_next(std::time::Duration::from_secs(5))
-                .unwrap_or_else(|e| panic!("release {step}: {e}"));
-        }
-        handle.join().expect("worker thread");
-        let progress = gate.progress();
-        assert_eq!(progress.announced, 5, "one pause per message step");
-        assert!(progress.done);
     }
 }

@@ -7,10 +7,10 @@
 //! *model*. This module closes the loop: it takes a serialized
 //! [`ReplayTrace`] and drives the **real** concurrent object (one OS
 //! thread per trace process) along the recorded interleaving, using the
-//! step-barrier protocol of [`ts_core::workload::StepGate`]:
+//! step-barrier protocol of [`ts_core::StepGate`]:
 //!
 //! - every worker thread executes its operations through
-//!   [`WorkloadWorker::step_gated`](ts_core::workload::WorkloadWorker::step_gated),
+//!   [`WorkloadWorker::step_gated`](crate::WorkloadWorker::step_gated),
 //!   pausing at its gate before each announced sub-step;
 //! - the controller walks the trace in order and releases exactly one
 //!   sub-step per recorded step, so shared-memory accesses land in
@@ -54,15 +54,16 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use ts_core::model::{BrokenCounterModel, CollectMaxFastModel, CollectMaxModel, HelpingScanModel};
-use ts_core::workload::{ReplayGranularity, StepGate, WorkloadOp, WorkloadTarget};
-use ts_core::{
-    BrokenCounter, CollectMax, CollectMaxFast, GrowableWorkload, HelpingScanWorkload, Timestamp,
-};
+use ts_core::{BrokenCounter, CollectMax, StepGate, Timestamp};
 use ts_model::replay::{minimized_trace, trace_from_schedule, ReplayTrace, StepKind};
 use ts_model::{CacheMode, Explorer, PctScheduler};
-use ts_replica::{QuorumModel, QuorumTsCrashTarget, QuorumTsTarget};
+use ts_replica::QuorumModel;
 
 use crate::histogram::LatencyHistogram;
+use crate::quorum::{QuorumTsCrashTarget, QuorumTsTarget};
+use crate::storm::HelpingScanWorkload;
+use crate::target::{ReplayGranularity, WorkloadOp, WorkloadTarget};
+use crate::targets::{CollectMaxFast, GrowableWorkload};
 
 /// How long the controller waits for a worker to finish a released
 /// sub-step before declaring the replay stuck. Generous: a stall here
@@ -81,7 +82,7 @@ pub struct ReplayedOp {
     /// Trace position of the response.
     pub responded: u64,
     /// The real object's output, when its worker reports one
-    /// ([`WorkloadWorker::last_ts`](ts_core::workload::WorkloadWorker::last_ts));
+    /// ([`WorkloadWorker::last_ts`](crate::WorkloadWorker::last_ts));
     /// `None` opts the op out of property and output checks.
     pub ts: Option<Timestamp>,
     /// The model's recorded output for this op (its `Debug` rendering).
@@ -242,7 +243,7 @@ pub fn expected_completion_order(
 /// Panics if the trace is malformed ([`ReplayTrace::validate`]), if the
 /// target has fewer slots than the trace has processes, or if a worker
 /// stalls/underruns its announced sub-steps (a trace/implementation
-/// mismatch — see [`ts_core::workload::GateError`]).
+/// mismatch — see [`ts_core::GateError`]).
 pub fn replay_trace(target: &dyn WorkloadTarget, trace: &ReplayTrace) -> ReplayReport {
     trace.validate().expect("replayable traces are well-formed");
     let n = trace.processes;

@@ -14,7 +14,7 @@
 use rand::rngs::StdRng;
 use rand::Rng;
 
-use ts_core::workload::WorkloadOp;
+use crate::target::WorkloadOp;
 
 /// How operations arrive at the object.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -9,9 +9,7 @@
 //!
 //! # Op semantics (what one engine op measures)
 //!
-//! - [`IssueMode::Single`] / [`IssueMode::Combining`] — one `GetTs` op
-//!   issues **one** stamp (directly, or through the shard's
-//!   flat-combining array).
+//! - [`IssueMode::Single`] — one `GetTs` op issues **one** stamp.
 //! - [`IssueMode::Batch(k)`](IssueMode::Batch) — one `GetTs` op is one
 //!   *service call* that issues the **whole batch** of `k` stamps.
 //!   `ops/sec` therefore counts issue calls; the per-stamp figure
@@ -40,9 +38,10 @@
 
 use std::hint::black_box;
 
-use ts_core::workload::{OpHistory, WorkloadOp, WorkloadTarget, WorkloadWorker};
 use ts_core::{PackedBackend, RegisterBackend, ServiceStats, ShardedTimestamp};
 use ts_service::{ClientSession, IssueMode, ServiceConfig, ShardedCollectMax};
+
+use crate::target::{Client, Order, Worker, WorkloadTarget, WorkloadWorker};
 
 /// A [`ShardedCollectMax`] plus an [`IssueMode`], driveable by the
 /// scenario engine. See the module docs for op semantics.
@@ -50,9 +49,8 @@ use ts_service::{ClientSession, IssueMode, ServiceConfig, ShardedCollectMax};
 /// # Example
 ///
 /// ```
-/// use ts_core::workload::{WorkloadOp, WorkloadTarget};
 /// use ts_service::{IssueMode, ServiceConfig};
-/// use ts_workloads::service::ServiceTarget;
+/// use ts_workloads::{ServiceTarget, WorkloadOp, WorkloadTarget};
 ///
 /// let target = ServiceTarget::new(
 ///     "sharded_s4_batch16",
@@ -104,63 +102,32 @@ impl<B: RegisterBackend<u64>> ServiceTarget<B> {
     }
 }
 
-struct ServiceWorker<'a, B: RegisterBackend<u64>> {
+struct ServiceClient<'a, B: RegisterBackend<u64>> {
     session: ClientSession<'a, B>,
     service: &'a ShardedCollectMax<B>,
     mode: IssueMode,
-    history: OpHistory<ShardedTimestamp>,
 }
 
-impl<B: RegisterBackend<u64>> WorkloadWorker for ServiceWorker<'_, B> {
-    fn step(&mut self, op: WorkloadOp) -> WorkloadOp {
-        match op {
-            WorkloadOp::GetTs => {
-                let (first, last) = match self.mode {
-                    IssueMode::Single => {
-                        let t = self.session.get_ts();
-                        (t, t)
-                    }
-                    IssueMode::Batch(k) => {
-                        let batch = self.session.get_ts_batch(k);
-                        (batch.first_stamp(), batch.last_stamp())
-                    }
-                    IssueMode::Combining => {
-                        let t = self.session.get_ts_combined();
-                        (t, t)
-                    }
-                };
-                if let Some(p) = self.history.last() {
-                    // The service's per-client guarantee: every stamp a
-                    // session obtains exceeds its previous one, across
-                    // batches, combining passes and migrations.
-                    assert!(
-                        ShardedTimestamp::compare(&p, &first),
-                        "service violated per-client monotonicity: {p} !< {first}"
-                    );
-                }
-                self.history.push(last);
-                WorkloadOp::GetTs
+impl<B: RegisterBackend<u64>> Client for ServiceClient<'_, B> {
+    type Stamp = ShardedTimestamp;
+
+    fn issue(&mut self, _pause: Option<&mut dyn FnMut()>) -> (ShardedTimestamp, ShardedTimestamp) {
+        match self.mode {
+            IssueMode::Single => {
+                let t = self.session.get_ts();
+                (t, t)
             }
-            WorkloadOp::Scan => {
-                black_box(self.service.read_max());
-                WorkloadOp::Scan
+            IssueMode::Batch(k) => {
+                let batch = self.session.get_ts_batch(k);
+                (batch.first_stamp(), batch.last_stamp())
             }
-            WorkloadOp::Compare => match self.history.pair() {
-                Some((a, b)) => {
-                    assert!(
-                        black_box(ShardedTimestamp::compare(&a, &b)),
-                        "service history out of order: {a} !< {b}"
-                    );
-                    WorkloadOp::Compare
-                }
-                None => self.step(WorkloadOp::GetTs),
-            },
         }
     }
 
-    // Cross-client, cross-shard ordering is exactly what the service
-    // relaxes, so `last_ts` stays `None`: replay controllers check
-    // order, not outputs.
+    fn observe(&mut self) -> bool {
+        black_box(self.service.read_max());
+        true
+    }
 }
 
 impl<B: RegisterBackend<u64>> WorkloadTarget for ServiceTarget<B> {
@@ -179,13 +146,18 @@ impl<B: RegisterBackend<u64>> WorkloadTarget for ServiceTarget<B> {
         usize::MAX
     }
 
+    /// Each worker life is a fresh session (a fresh vpid). The service
+    /// promises order per client only: every stamp a session obtains
+    /// exceeds its previous one, across batches and migrations.
+    /// Cross-client, cross-shard order is exactly what it relaxes, so
+    /// sharded stamps are no replay outputs (`last_ts` is `None`).
     fn worker<'a>(&'a self, _slot: usize) -> Box<dyn WorkloadWorker + 'a> {
-        Box::new(ServiceWorker {
+        let client = ServiceClient {
             session: self.service.session(),
             service: &self.service,
             mode: self.mode,
-            history: OpHistory::new(),
-        })
+        };
+        Worker::boxed(self.label, Order::Checked, client)
     }
 
     fn service_stats(&self) -> Option<ServiceStats> {
@@ -198,22 +170,10 @@ mod tests {
     use super::*;
     use crate::engine::{run_scenario, RunConfig};
     use crate::scenario::{Arrival, Churn, OpMix, Scenario};
+    use crate::target::WorkloadOp;
 
     fn target(shards: usize, slots: usize, mode: IssueMode) -> ServiceTarget {
         ServiceTarget::new("sharded_test", ServiceConfig::new(shards, slots), mode)
-    }
-
-    #[test]
-    fn worker_runs_every_op_kind() {
-        let t = target(2, 2, IssueMode::Single);
-        let mut w = t.worker(0);
-        assert_eq!(w.step(WorkloadOp::GetTs), WorkloadOp::GetTs);
-        assert_eq!(w.step(WorkloadOp::Scan), WorkloadOp::Scan);
-        assert_eq!(w.step(WorkloadOp::Compare), WorkloadOp::GetTs);
-        assert_eq!(w.step(WorkloadOp::Compare), WorkloadOp::Compare);
-        // Two issue calls hit the service: the explicit GetTs and the
-        // one substituted for the first (history-starved) Compare.
-        assert_eq!(t.service_stats().unwrap().calls, 2);
     }
 
     #[test]
@@ -231,7 +191,7 @@ mod tests {
 
     #[test]
     fn engine_drives_every_mode_under_contention() {
-        for mode in [IssueMode::Single, IssueMode::Batch(4), IssueMode::Combining] {
+        for mode in [IssueMode::Single, IssueMode::Batch(4)] {
             let t = target(2, 2, mode);
             let scenario = Scenario {
                 name: "svc_closed",

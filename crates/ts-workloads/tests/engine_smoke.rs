@@ -1,12 +1,11 @@
 //! Engine behavior tests: op accounting, arrival modes, churn lives,
 //! and target coverage across backends.
 
-use ts_core::workload::WorkloadOp;
-use ts_core::{
-    BoundedTimestamp, CollectMax, EpochBackend, GrowableWorkload, OneShotPool, PackedBackend,
-    SimpleOneShot,
+use ts_core::{BoundedTimestamp, CollectMax, EpochBackend, PackedBackend, SimpleOneShot};
+use ts_workloads::{
+    catalog, run_scenario, Arrival, Churn, GrowableWorkload, OneShotPool, OpMix, RunConfig,
+    Scenario, WorkloadOp,
 };
-use ts_workloads::{catalog, run_scenario, Arrival, Churn, OpMix, RunConfig, Scenario};
 
 fn closed(name: &'static str, mix: OpMix) -> Scenario {
     Scenario {

@@ -29,13 +29,13 @@ use std::time::Duration;
 
 use proptest::prelude::*;
 use timestamp_suite::ts_apps::FcfsLock;
-use timestamp_suite::ts_core::{StepGate, WorkloadTarget};
+use timestamp_suite::ts_core::StepGate;
 use timestamp_suite::ts_replica::{
     Cluster, ClusterConfig, Message, MsgKind, ReplicatedCollectMax, RestartMode,
 };
 use timestamp_suite::ts_workloads::{
     run_scenario_with, Arrival, Campaign, CampaignShape, EngineOptions, FaultEvent, FaultSchedule,
-    OpMix, RunConfig, Scenario, TimedFault,
+    OpMix, RunConfig, Scenario, TimedFault, WorkloadTarget,
 };
 
 fn closed_loop(name: &'static str) -> Scenario {

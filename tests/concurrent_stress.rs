@@ -272,8 +272,10 @@ fn writer_storm_workload_stats_reconcile_with_thread_tallies() {
     // bound-1 policy makes `dirty_recollects >= helped_scans` an
     // invariant (every adoption was preceded by at least one failed
     // pass).
-    use timestamp_suite::ts_core::{HelpingScanWorkload, ScanMode, WorkloadOp, WorkloadTarget};
     use timestamp_suite::ts_snapshot::ScanPolicy;
+    use timestamp_suite::ts_workloads::{
+        HelpingScanWorkload, ScanMode, WorkloadOp, WorkloadTarget,
+    };
 
     let writers = 4usize;
     let writer_ops = 2_000usize;

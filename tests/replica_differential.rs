@@ -16,7 +16,7 @@ use timestamp_suite::ts_apps::FcfsLock;
 use timestamp_suite::ts_core::{CollectMax, LongLivedTimestamp, PackedBackend, Timestamp};
 use timestamp_suite::ts_register::RegisterArray;
 use timestamp_suite::ts_replica::{with_cluster, Cluster, ClusterConfig, QuorumBackend};
-use timestamp_suite::ts_snapshot::double_collect_scan;
+use timestamp_suite::ts_snapshot::adaptive_scan;
 
 /// A deterministic slot sequence: which process issues the i-th op.
 fn slot_program(slots: usize, len: usize) -> Vec<usize> {
@@ -71,8 +71,8 @@ fn double_collect_scan_agrees_across_backends() {
         packed.write(slot, word).expect("in capacity");
     }
 
-    let qv = double_collect_scan(&quorum);
-    let pv = double_collect_scan(&packed);
+    let qv = adaptive_scan(&quorum).0;
+    let pv = adaptive_scan(&packed).0;
     assert_eq!(qv.values(), pv.values(), "scans diverged across backends");
     for i in 0..CAP {
         assert_eq!(quorum.read(i).expect("in capacity"), pv.values()[i]);

@@ -1,14 +1,11 @@
 //! Concurrency stress for the `ts-service` layer.
 //!
-//! Three hammers, each aimed at a different uniqueness argument:
+//! Hammers, each aimed at a different uniqueness or liveness argument:
 //!
 //! - **Batch reservations**: N threads issue mixed-size batches on both
 //!   register backends; every stamp ever issued must be globally unique
 //!   and every batch internally consecutive — one CAS reserving `k`
 //!   stamps must never overlap another reservation.
-//! - **Flat combining**: N threads route single-stamp requests through
-//!   the publication array; a combiner serving a peer's request twice
-//!   (or never) would surface as a duplicate (or a hang).
 //! - **Vpid multiplexing**: the workload engine drives `M = 64` client
 //!   sessions over `n = 8` physical slots through the churn scenario;
 //!   the per-worker monotonicity asserts inside the engine check the
@@ -101,7 +98,6 @@ fn batch_stress<B: RegisterBackend<u64>>(shards: usize) {
     assert_eq!(stats.batches, stats.calls - singles);
     assert_eq!(stats.batched_stamps, stats.stamps - singles);
     assert!(stats.fast_hits <= stats.calls);
-    assert_eq!((stats.combined_ops, stats.combine_passes), (0, 0));
     assert_eq!(stats.shard_stamps.len(), shards);
     assert_eq!(stats.shard_stamps.iter().sum::<u64>(), stats.stamps);
 }
@@ -138,37 +134,14 @@ fn batches_survive_epoch_rollover_under_contention() {
     assert_eq!(service.stats().stamps, all.len() as u64);
 }
 
-#[test]
-fn combining_issues_each_request_exactly_once() {
-    for shards in [1usize, 2] {
-        let service = ShardedCollectMax::new(ServiceConfig::new(shards, THREADS));
-        let per_thread = 300;
-        let all = hammer(&service, per_thread, |session, _| {
-            vec![session.get_ts_combined()]
-        });
-        let stats = service.stats();
-        let calls = (THREADS * per_thread) as u64;
-        assert_eq!(all.len() as u64, calls);
-        assert_eq!((stats.calls, stats.stamps), (calls, calls));
-        // Every request was served by exactly one pass (possibly its own).
-        assert_eq!(stats.combined_ops, calls);
-        assert!(stats.combine_passes >= 1);
-        assert!(stats.combine_passes <= stats.calls);
-        // Only a combiner's pass can hit the fast path.
-        assert!(stats.fast_hits <= stats.combine_passes);
-        assert_eq!((stats.batches, stats.batched_stamps), (0, 0));
-        assert_eq!(stats.shard_stamps.iter().sum::<u64>(), stats.stamps);
-    }
-}
-
 /// Batch size of call `i` in the blocking-lease mix: 2..=8, so every
 /// batch call counts as a batch.
 fn mixed_batch(i: usize) -> u32 {
     2 + (i / 3 % 7) as u32
 }
 
-/// Pools oversubscribed 8:1 or 4:1 (one slot per shard), with single,
-/// batch and combining calls mixed, so calls find their slot taken and
+/// Pools oversubscribed 8:1 or 4:1 (one slot per shard), with single
+/// and batch calls mixed, so calls find their slot taken and
 /// sleep for it. Rounds repeat until some lease has blocked: on one CPU
 /// a lease is only ever found taken when its holder is preempted. The
 /// rounds run on a helper thread so that a lost wake-up fails here
@@ -185,10 +158,9 @@ fn oversubscribed_leases_wake_every_sleeper() {
             let mut rounds = 0;
             while rounds == 0 || service.stats().lease_waits == 0 {
                 assert!(rounds < MAX_ROUNDS, "no lease blocked in {rounds} rounds");
-                let round = hammer(&service, PER_THREAD, |session, i| match i % 3 {
+                let round = hammer(&service, PER_THREAD, |session, i| match i % 2 {
                     0 => vec![session.get_ts()],
-                    1 => session.get_ts_batch(mixed_batch(i)).collect(),
-                    _ => vec![session.get_ts_combined()],
+                    _ => session.get_ts_batch(mixed_batch(i)).collect(),
                 });
                 for key in round {
                     assert!(all.insert(key), "stamp {key:?} issued in two rounds");
@@ -211,21 +183,19 @@ fn oversubscribed_leases_wake_every_sleeper() {
         };
         helper.join().expect("helper thread");
         let thread_rounds = rounds * THREADS as u64;
-        let per_kind = |kind: usize| (0..PER_THREAD).filter(move |i| i % 3 == kind);
+        let per_kind = |kind: usize| (0..PER_THREAD).filter(move |i| i % 2 == kind);
         let batches = per_kind(1).count() as u64 * thread_rounds;
         let batched_stamps =
             per_kind(1).map(|i| u64::from(mixed_batch(i))).sum::<u64>() * thread_rounds;
-        let combined = per_kind(2).count() as u64 * thread_rounds;
         let singles = per_kind(0).count() as u64 * thread_rounds;
         assert!(stats.lease_waits > 0);
         assert_eq!(stats.calls, PER_THREAD as u64 * thread_rounds);
-        assert_eq!(stats.stamps, singles + batched_stamps + combined);
+        assert_eq!(stats.stamps, singles + batched_stamps);
         assert_eq!(stats.stamps, issued);
         assert_eq!(
             (stats.batches, stats.batched_stamps),
             (batches, batched_stamps)
         );
-        assert_eq!(stats.combined_ops, combined);
         assert_eq!(stats.shard_stamps.iter().sum::<u64>(), stats.stamps);
     }
 }
